@@ -80,7 +80,11 @@ from repro.patterns import make_pattern
 #:     matrix pins this), but schema-9 envelopes were keyed without the
 #:     redundancy axis and must not be replayed against keys that include
 #:     it.
-CACHE_SCHEMA_VERSION = 10
+#: v11: the simulation kernel was cut to the primitives the model uses (one
+#:     run loop, no per-grant utilization tracking).  Every result is
+#:     bit-identical (the digest matrix pins this); the bump only follows
+#:     the rule that any kernel change carries one.
+CACHE_SCHEMA_VERSION = 11
 
 
 # -- experiment families --------------------------------------------------------

@@ -20,6 +20,9 @@ class ScsiBus:
         self.name = name
         self.resource = Resource(env, capacity=1, name=name)
         self.bytes_transferred = Counter(f"{name}.bytes")
+        #: seconds of bus occupancy summed over completed transfers.
+        self.busy_seconds = 0.0
+        self._created_at = env.now
         #: seconds of bus occupancy attributed to each collective session
         #: (session id -> seconds); dropped by :meth:`release_session`.
         self.session_busy = {}
@@ -29,8 +32,13 @@ class ScsiBus:
         return _CountingBusPort(self)
 
     def busy_fraction(self):
-        """Fraction of simulated time the bus has been occupied."""
-        return self.resource.utilization.busy_fraction()
+        """Fraction of simulated time the bus has been occupied.
+
+        One transfer holds the bus at a time, so the busy time is the sum of
+        the completed transfers' occupancies.
+        """
+        elapsed = self.env.now - self._created_at
+        return self.busy_seconds / elapsed if elapsed > 0 else 0.0
 
     def session_busy_seconds(self, session_id):
         """Seconds this bus spent moving *session_id*'s data."""
@@ -42,18 +50,20 @@ class ScsiBus:
 
 
 class _CountingBusPort(BusPort):
-    """BusPort that also records byte counts and per-session occupancy."""
+    """BusPort that also records byte counts and bus and session occupancy."""
 
     def __init__(self, bus):
         super().__init__(bus.resource, bus.bandwidth, bus.transfer_overhead)
         self._bus = bus
 
     def _account(self, n_bytes, session_id):
-        self._bus.bytes_transferred.add(n_bytes)
+        bus = self._bus
+        seconds = self.transfer_time(n_bytes)
+        bus.busy_seconds += seconds
+        bus.bytes_transferred.add(n_bytes)
         if session_id is not None:
-            busy = self._bus.session_busy
-            busy[session_id] = busy.get(session_id, 0.0) \
-                + self.transfer_time(n_bytes)
+            busy = bus.session_busy
+            busy[session_id] = busy.get(session_id, 0.0) + seconds
 
     def transfer(self, env, n_bytes, session_id=None):
         yield from super().transfer(env, n_bytes)

@@ -1,14 +1,15 @@
 """Discrete-event simulation kernel used by every other subsystem.
 
 This package is the reproduction's stand-in for the Proteus
-parallel-architecture simulator used in the paper.  It provides:
+parallel-architecture simulator used in the paper.  It carries only the
+primitives the model uses:
 
 * an event loop with a virtual clock (:class:`~repro.sim.engine.Environment`),
 * generator-based processes (:class:`~repro.sim.process.Process`),
 * synchronisation primitives (events, timeouts, :class:`~repro.sim.events.AllOf`,
-  :class:`~repro.sim.events.AnyOf`, barriers),
+  barriers),
 * resources and FIFO stores for modelling busses, NICs and queues,
-* statistics helpers for utilisation and time-weighted averages, and
+* named counters, and
 * deterministic random-number streams.
 
 The API deliberately resembles SimPy so that the modelling code in
@@ -18,34 +19,26 @@ third-party simulation dependency is available in this environment).
 """
 
 from repro.sim.engine import Environment
-from repro.sim.errors import Interrupt, SimulationError, StopProcess
-from repro.sim.events import AllOf, AnyOf, Event, Timeout
+from repro.sim.errors import SimulationError
+from repro.sim.events import AllOf, Event, Timeout
 from repro.sim.process import Process
-from repro.sim.resources import Preempted, Resource
+from repro.sim.resources import Resource
 from repro.sim.rng import RandomStreams, spawn_seeds
-from repro.sim.stats import Counter, TimeWeightedValue, UtilizationTracker
-from repro.sim.stores import PriorityStore, Store
-from repro.sim.sync import Barrier, CountDownLatch
+from repro.sim.stats import Counter
+from repro.sim.stores import Store
+from repro.sim.sync import Barrier
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Barrier",
-    "CountDownLatch",
     "Counter",
     "Environment",
     "Event",
-    "Interrupt",
-    "Preempted",
-    "PriorityStore",
     "Process",
     "RandomStreams",
     "Resource",
     "SimulationError",
-    "StopProcess",
     "Store",
-    "TimeWeightedValue",
     "Timeout",
-    "UtilizationTracker",
     "spawn_seeds",
 ]

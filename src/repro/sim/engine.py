@@ -3,27 +3,26 @@
 The calendar has two tiers:
 
 * a FIFO **ring** (`collections.deque`) holding events scheduled *at the
-  current instant* with NORMAL priority — the ``Event.succeed()`` /
-  ``fail()`` / message-delivery path, which is the large majority of all
-  scheduling in a protocol simulation.  Ring entries are appended in eid
-  order and the clock never moves backwards, so the ring is always sorted
-  by ``(time, key)`` without any heap discipline: O(1) push, O(1) pop.
-* the classic binary **heap** for everything else (future timeouts, urgent
-  events, explicit ``schedule()`` calls).
+  current instant* — the ``Event.succeed()`` / ``fail()`` /
+  message-delivery path, which is the large majority of all scheduling in
+  a protocol simulation.  Ring entries are appended in eid order and the
+  clock never moves backwards, so the ring is always sorted by
+  ``(time, eid)`` without any heap discipline: O(1) push, O(1) pop.
+* the classic binary **heap** for future events (timeouts, ``event_at``).
 
-Entries in both tiers are ``(time, key, event)`` 3-tuples where *key* folds
-the old ``(priority, eid)`` pair into a single integer (see
-:func:`_priority_key`), so a pop is one tuple comparison between the two
-heads.  Pops interleave the tiers in exact ``(time, priority, eid)`` order,
-which makes the two-tier calendar observationally identical to the previous
-single-heap implementation — ``tests/sim/test_calendar.py`` property-tests
+Entries in both tiers are ``(time, eid, event)`` 3-tuples, so a pop is one
+tuple comparison between the two heads.  Pops interleave the tiers in exact
+``(time, eid)`` order, which makes the two-tier calendar observationally
+identical to a single heap — ``tests/sim/test_calendar.py`` property-tests
 the equivalence against a reference heap.
 
-The run loops are deliberately flat: popping an event, advancing the clock
-and running the callbacks happens inline (rather than through :meth:`step`)
-so the per-event cost is a handful of bytecodes.  :meth:`step` remains the
-one-event reference implementation for tests and debugging; the inlined
-bodies must stay in sync with it.
+:meth:`Environment.run` is one flat loop for every stop condition (calendar
+exhausted, a stop time, an awaited event) with or without the watchdog:
+popping an event, advancing the clock and running the callbacks happens
+inline (rather than through :meth:`Environment.step`) so the per-event cost
+is a handful of bytecodes.  :meth:`~Environment.step` remains the one-event
+reference implementation for tests and debugging; the inlined body must
+stay in sync with it.
 """
 
 import time
@@ -32,20 +31,8 @@ from collections import deque
 from heapq import heappop, heappush
 
 from repro.sim.errors import DeadlockError, SimulationError
-from repro.sim.events import AllOf, AnyOf, Event, Timeout
+from repro.sim.events import AllOf, Event, Timeout
 from repro.sim.process import Process
-
-#: Priority used for ordinary events.
-NORMAL = 1
-#: Priority used for "urgent" events (processed before normal ones at equal time).
-URGENT = 0
-
-#: Key-space stride separating one priority level from the next.  Event ids
-#: are allocated sequentially and would need ~146 years at a billion events
-#: per second to reach it, so ``(priority - NORMAL) * _PRIORITY_STRIDE + eid``
-#: orders exactly like the old ``(priority, eid)`` pair while fitting in one
-#: integer: URGENT keys are negative, NORMAL keys are the bare eid.
-_PRIORITY_STRIDE = 1 << 62
 
 
 class Environment:
@@ -113,40 +100,15 @@ class Environment:
         """Composite event succeeding when every event in *events* succeeds."""
         return AllOf(self, events)
 
-    def any_of(self, events):
-        """Composite event succeeding when the first event in *events* succeeds."""
-        return AnyOf(self, events)
-
     # -- scheduling ------------------------------------------------------------
-    def schedule(self, event, delay=0.0, priority=NORMAL):
-        """Insert *event* into the calendar, to be processed after *delay*.
-
-        *priority* must be an integer; lower values are processed first among
-        events at the same time (the kernel uses :data:`URGENT` and
-        :data:`NORMAL`).
-        """
-        if delay < 0:
-            raise ValueError(f"negative delay {delay!r}")
-        eid = self._eid
-        self._eid = eid + 1
-        when = self._now + delay
-        if priority == NORMAL:
-            if when == self._now:
-                self._ring.append((when, eid, event))
-                return
-            key = eid
-        else:
-            key = (priority - NORMAL) * _PRIORITY_STRIDE + eid
-        heappush(self._heap, (when, key, event))
-
     def _schedule_now(self, event):
-        """Fast path used by ``Event.succeed``/``fail``: straight to the ring."""
+        """Append *event* to the ring at the current instant (``succeed``/``fail``)."""
         eid = self._eid
         self._eid = eid + 1
         self._ring.append((self._now, eid, event))
 
     def _schedule_at(self, when, event):
-        """Fast path used by ``Timeout``: the delay was already validated."""
+        """Insert *event* at absolute time *when* (validated: not in the past)."""
         eid = self._eid
         self._eid = eid + 1
         if when == self._now:
@@ -154,35 +116,16 @@ class Environment:
         else:
             heappush(self._heap, (when, eid, event))
 
-    def peek(self):
-        """Time of the next scheduled event, or ``inf`` if the calendar is empty."""
-        if self._ring:
-            # Ring entries are at the current instant: nothing can precede them.
-            return self._ring[0][0]
-        if not self._heap:
-            return float("inf")
-        return self._heap[0][0]
-
-    def _pop(self):
-        """Remove and return the next ``(time, key, event)`` entry in order.
-
-        Key ordering is total across the two tiers (keys embed the unique
-        eid), so one tuple comparison between the heads decides the pop.
-        """
-        ring = self._ring
-        if ring:
-            if not self._heap or ring[0] < self._heap[0]:
-                return ring.popleft()
-            return heappop(self._heap)
-        if not self._heap:
-            raise SimulationError("pop from an empty event calendar")
-        return heappop(self._heap)
-
     def step(self):
         """Process exactly one event (advancing the clock to its time)."""
-        if not self._ring and not self._heap:
+        ring = self._ring
+        heap = self._heap
+        if ring and (not heap or ring[0] < heap[0]):
+            when, _eid, event = ring.popleft()
+        elif heap:
+            when, _eid, event = heappop(heap)
+        else:
             raise SimulationError("step() on an empty event queue")
-        when, _key, event = self._pop()
         self._now = when
         callbacks, event.callbacks = event.callbacks, None
         for callback in callbacks:
@@ -218,74 +161,55 @@ class Environment:
                          "event has no producer)")
         return DeadlockError("\n".join(lines))
 
+    #: Events between watchdog wall-clock checks.  Large enough that the
+    #: ``time.monotonic`` call is noise, small enough that a livelock is
+    #: caught within a fraction of the budget.
+    _WATCHDOG_STRIDE = 4096
+
     def run(self, until=None, watchdog=None):
         """Run until the calendar empties, *until* time passes, or *until* fires.
 
         ``until`` may be ``None`` (run to exhaustion), a number (absolute
         simulated time), or an :class:`Event` (run until it is processed and
-        return its value).
+        return its value).  If the calendar empties before that event fires,
+        the run raises :class:`DeadlockError` naming the stuck processes.
 
         ``watchdog``, if given, is a wall-clock budget in seconds: if that
         much real time passes without simulated time advancing (events firing
         forever at one instant, or a callback spinning), the run raises
         :class:`DeadlockError` naming the stuck processes instead of hanging.
-        The watched loop is generic (not inlined), so leave ``watchdog=None``
-        on hot paths.
+        The check is a countdown read every :attr:`_WATCHDOG_STRIDE` events,
+        so an armed watchdog costs next to nothing.
         """
-        if watchdog is not None:
-            return self._run_watched(until, watchdog)
+        if watchdog is not None and watchdog <= 0:
+            raise ValueError(f"watchdog budget must be positive, got {watchdog!r}")
+        sentinel = None
+        stop_at = float("inf")
+        if isinstance(until, Event):
+            sentinel = until
+        elif until is not None:
+            stop_at = float(until)
+            if stop_at < self._now:
+                raise ValueError(f"until={stop_at} is in the past (now={self._now})")
         heap = self._heap
         ring = self._ring
         ring_popleft = ring.popleft
+        countdown = stride = self._WATCHDOG_STRIDE
+        last_advance_sim = self._now
+        last_advance_wall = time.monotonic()
 
-        if until is None:
-            while ring or heap:
-                if ring and (not heap or ring[0] < heap[0]):
-                    when, _key, event = ring_popleft()
-                else:
-                    when, _key, event = heappop(heap)
-                self._now = when
-                callbacks, event.callbacks = event.callbacks, None
-                for callback in callbacks:
-                    callback(event)
-                if not event._ok and not event._defused:
-                    raise event._value
-            return None
-
-        if isinstance(until, Event):
-            sentinel = until
-            while sentinel.callbacks is not None:
-                if ring and (not heap or ring[0] < heap[0]):
-                    when, _key, event = ring_popleft()
-                elif heap:
-                    when, _key, event = heappop(heap)
-                else:
-                    raise self._deadlock(
-                        "simulation ran out of events before the awaited event "
-                        "fired (a process is waiting on something that never "
-                        "happens)")
-                self._now = when
-                callbacks, event.callbacks = event.callbacks, None
-                for callback in callbacks:
-                    callback(event)
-                if not event._ok and not event._defused:
-                    raise event._value
-            if sentinel._ok:
-                return sentinel._value
-            raise sentinel._value
-
-        stop_at = float(until)
-        if stop_at < self._now:
-            raise ValueError(f"until={stop_at} is in the past (now={self._now})")
-        while True:
+        while sentinel is None or sentinel.callbacks is not None:
+            # Ring entries sit at the current instant, which never passes
+            # stop_at, so only the heap head needs the stop-time check.
             if ring and (not heap or ring[0] < heap[0]):
-                if ring[0][0] > stop_at:
-                    break
-                when, _key, event = ring_popleft()
-            elif heap:
-                if heap[0][0] > stop_at:
-                    break
-                when, _key, event = heappop(heap)
+                when, _eid, event = ring_popleft()
+            elif heap and heap[0][0] <= stop_at:
+                when, _eid, event = heappop(heap)
+            elif sentinel is not None:
+                raise self._deadlock(
+                    "simulation ran out of events before the awaited event "
+                    "fired (a process is waiting on something that never "
+                    "happens)")
             else:
                 break
             self._now = when
@@ -294,60 +218,23 @@ class Environment:
                 callback(event)
             if not event._ok and not event._defused:
                 raise event._value
-        self._now = stop_at
-        return None
-
-    #: Events between watchdog wall-clock checks.  Large enough that the
-    #: ``time.monotonic`` call is noise, small enough that a livelock is
-    #: caught within a fraction of the budget.
-    _WATCHDOG_STRIDE = 4096
-
-    def _run_watched(self, until, watchdog):
-        """The watchdog-instrumented run loop (reference-style, not inlined).
-
-        Semantics match :meth:`run` for every ``until`` mode, with two extra
-        failure conversions: an empty calendar below the sentinel raises the
-        same diagnosed :class:`DeadlockError` as the fast loop, and a stall —
-        *watchdog* wall-seconds elapsing while ``now`` stays put — raises one
-        too instead of spinning forever.
-        """
-        if watchdog <= 0:
-            raise ValueError(f"watchdog budget must be positive, got {watchdog!r}")
-        sentinel = until if isinstance(until, Event) else None
-        stop_at = None
-        if until is not None and sentinel is None:
-            stop_at = float(until)
-            if stop_at < self._now:
-                raise ValueError(f"until={stop_at} is in the past (now={self._now})")
-        countdown = self._WATCHDOG_STRIDE
-        last_advance_wall = time.monotonic()
-        last_advance_sim = self._now
-        while True:
-            if sentinel is not None and sentinel.callbacks is None:
-                if sentinel._ok:
-                    return sentinel._value
-                raise sentinel._value
-            if not self._ring and not self._heap:
-                if sentinel is not None:
-                    raise self._deadlock(
-                        "simulation ran out of events before the awaited event "
-                        "fired (a process is waiting on something that never "
-                        "happens)")
-                if stop_at is not None:
-                    self._now = stop_at
-                return None
-            if stop_at is not None and self.peek() > stop_at:
-                self._now = stop_at
-                return None
-            self.step()
             countdown -= 1
-            if countdown <= 0:
-                countdown = self._WATCHDOG_STRIDE
-                if self._now > last_advance_sim:
-                    last_advance_sim = self._now
-                    last_advance_wall = time.monotonic()
-                elif time.monotonic() - last_advance_wall > watchdog:
-                    raise self._deadlock(
-                        f"watchdog expired: {watchdog:g}s of wall time passed "
-                        f"without simulated time advancing (livelock at one "
-                        f"instant, or a stalled callback)")
+            if not countdown:
+                countdown = stride
+                if watchdog is not None:
+                    if self._now > last_advance_sim:
+                        last_advance_sim = self._now
+                        last_advance_wall = time.monotonic()
+                    elif time.monotonic() - last_advance_wall > watchdog:
+                        raise self._deadlock(
+                            f"watchdog expired: {watchdog:g}s of wall time "
+                            f"passed without simulated time advancing "
+                            f"(livelock at one instant, or a stalled callback)")
+
+        if sentinel is not None:
+            if sentinel._ok:
+                return sentinel._value
+            raise sentinel._value
+        if until is not None:
+            self._now = stop_at
+        return None

@@ -14,30 +14,3 @@ class DeadlockError(SimulationError):
     message names the processes that are still alive and what each one is
     waiting on, so a stuck run is diagnosable from the traceback alone.
     """
-
-
-class StopProcess(Exception):
-    """Raised inside a process generator to terminate it early with a value.
-
-    Returning from the generator is the normal way to finish; ``StopProcess``
-    exists for code that needs to terminate from deep inside helper calls.
-    """
-
-    def __init__(self, value=None):
-        super().__init__(value)
-        self.value = value
-
-
-class Interrupt(Exception):
-    """Thrown into a process when another process interrupts it.
-
-    The interrupted process may catch the exception and continue; the
-    ``cause`` attribute carries whatever object the interrupter supplied.
-    """
-
-    def __init__(self, cause=None):
-        super().__init__(cause)
-        self.cause = cause
-
-    def __repr__(self):  # pragma: no cover - debugging aid
-        return f"Interrupt(cause={self.cause!r})"

@@ -83,18 +83,6 @@ class Event:
         self.env._schedule_now(self)
         return self
 
-    def trigger(self, event):
-        """Copy the outcome of another (processed) event onto this one."""
-        if event.ok:
-            self.succeed(event.value)
-        else:
-            self.fail(event.value)
-        return self
-
-    def defuse(self):
-        """Mark a failed event as handled so the engine does not re-raise it."""
-        self._defused = True
-
     def __repr__(self):
         state = "processed" if self.callbacks is None else (
             "triggered" if self._value is not _PENDING else "pending")
@@ -104,13 +92,13 @@ class Event:
 class Timeout(Event):
     """An event that succeeds automatically after a simulated delay.
 
-    The constructor is flattened (no ``super().__init__`` / ``succeed`` /
-    ``schedule`` chain): a timeout is born triggered, so it goes straight
-    into the environment's queue.  This is the single most frequently built
+    The constructor is flattened (no ``super().__init__`` / ``succeed``
+    chain): a timeout is born triggered, so it goes straight into the
+    environment's queue.  This is the single most frequently built
     object in a simulation run.
     """
 
-    __slots__ = ("_delay",)
+    __slots__ = ()
 
     def __init__(self, env, delay, value=None):
         if delay < 0:
@@ -120,13 +108,7 @@ class Timeout(Event):
         self._ok = True
         self._value = value
         self._defused = False
-        self._delay = delay
         env._schedule_at(env._now + delay, self)
-
-    @property
-    def delay(self):
-        """The delay this timeout was created with."""
-        return self._delay
 
 
 def chain(source, target):
@@ -149,15 +131,16 @@ def chain(source, target):
 
 
 class ConditionValue(dict):
-    """Mapping of event -> value returned by :class:`AllOf` / :class:`AnyOf`."""
+    """Mapping of event -> value returned by :class:`AllOf`."""
 
 
-class _Condition(Event):
-    """Base class for composite events over a fixed set of child events.
+class AllOf(Event):
+    """Succeeds when *all* child events have been processed successfully.
 
     Satisfaction is tracked with a pending counter updated once per child
     callback, so waiting on N children costs O(N) total rather than the
-    O(N^2) of re-scanning the child list from every callback.
+    O(N^2) of re-scanning the child list from every callback.  The first
+    failed child fails the condition.
     """
 
     __slots__ = ("_events", "_pending")
@@ -179,17 +162,8 @@ class _Condition(Event):
                 pending += 1
                 event.callbacks.append(on_child)
         self._pending = pending
-        if self._value is _PENDING and self._initially_satisfied():
+        if self._value is _PENDING and pending == 0:
             self._finish()
-
-    # Subclasses decide when the condition is satisfied.
-    def _initially_satisfied(self):
-        """Whether the condition already holds at construction time."""
-        raise NotImplementedError
-
-    def _child_succeeded(self):
-        """Whether one more successful child completes the condition."""
-        raise NotImplementedError
 
     def _on_child(self, event):
         if self._value is not _PENDING:
@@ -199,7 +173,7 @@ class _Condition(Event):
             self.fail(event._value)
             return
         self._pending -= 1
-        if self._child_succeeded():
+        if self._pending == 0:
             self._finish()
 
     def _finish(self):
@@ -208,29 +182,3 @@ class _Condition(Event):
             if event.callbacks is None and event._ok:
                 result[event] = event._value
         self.succeed(result)
-
-
-class AllOf(_Condition):
-    """Succeeds when *all* child events have been processed successfully."""
-
-    __slots__ = ()
-
-    def _initially_satisfied(self):
-        return self._pending == 0
-
-    def _child_succeeded(self):
-        return self._pending == 0
-
-
-class AnyOf(_Condition):
-    """Succeeds as soon as *any* child event has been processed successfully."""
-
-    __slots__ = ()
-
-    def _initially_satisfied(self):
-        if not self._events:
-            return True
-        return any(e.callbacks is None and e._ok for e in self._events)
-
-    def _child_succeeded(self):
-        return True

@@ -8,18 +8,12 @@ value, so processes can wait for each other simply by yielding them.
 
 :meth:`Process._resume` is the single hottest function in the simulator (it
 runs once per processed event with a waiter), so the common success path is
-fully inlined there; the rarely-taken throw paths (failures, interrupts) go
-through :meth:`Process._step`.  The two must stay behaviourally in sync.
+fully inlined there; the rarely-taken throw paths (a failed event, a yielded
+non-event) go through :meth:`Process._step`.  The two must stay
+behaviourally in sync.
 """
 
-from repro.sim.errors import Interrupt, SimulationError, StopProcess
 from repro.sim.events import _PENDING, Event
-
-
-class _Interruption(Event):
-    """Internal event used to deliver :meth:`Process.interrupt`."""
-
-    __slots__ = ("_interrupt_cause",)
 
 
 class Process(Event):
@@ -58,33 +52,8 @@ class Process(Event):
         """Best-effort human-readable name (the generator function's name)."""
         return getattr(self._generator, "__name__", repr(self._generator))
 
-    def interrupt(self, cause=None):
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if self._value is not _PENDING:
-            raise SimulationError(f"cannot interrupt finished process {self.name}")
-        interruption = _Interruption(self.env)
-        interruption._interrupt_cause = cause
-        interruption.callbacks.append(self._deliver_interrupt)
-        interruption.succeed()
-
     # -- internals --------------------------------------------------------------
-    def _deliver_interrupt(self, interruption):
-        if self._value is not _PENDING:
-            return  # finished between scheduling and delivery
-        # Detach from whatever we were waiting on so the stale resume is ignored.
-        target = self._waiting_on
-        if target is not None and target.callbacks is not None:
-            try:
-                target.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-        self._waiting_on = None
-        self._step(throw=Interrupt(interruption._interrupt_cause))
-
     def _resume(self, event):
-        waiting_on = self._waiting_on
-        if waiting_on is not None and event is not waiting_on:
-            return  # stale wakeup (we were interrupted away from this event)
         self._waiting_on = None
         ok = event._ok
         if ok or ok is None:
@@ -99,15 +68,6 @@ class Process(Event):
             except StopIteration as stop:
                 env._active_process = previous
                 self.succeed(stop.value)
-                return
-            except StopProcess as stop:
-                env._active_process = previous
-                self.succeed(stop.value)
-                return
-            except Interrupt as interrupt:
-                # The generator chose not to handle an interrupt: treat as failure.
-                env._active_process = previous
-                self.fail(interrupt)
                 return
             except Exception as exc:  # model error inside the process
                 env._active_process = previous
@@ -128,26 +88,15 @@ class Process(Event):
             event._defused = True
             self._step(throw=event._value)
 
-    def _step(self, value=None, throw=None):
+    def _step(self, throw):
+        """Throw *throw* into the generator and attach to what it yields next."""
         env = self.env
         previous, env._active_process = env._active_process, self
         try:
-            if throw is not None:
-                target = self._generator.throw(throw)
-            else:
-                target = self._generator.send(value)
+            target = self._generator.throw(throw)
         except StopIteration as stop:
             env._active_process = previous
             self.succeed(stop.value)
-            return
-        except StopProcess as stop:
-            env._active_process = previous
-            self.succeed(stop.value)
-            return
-        except Interrupt as interrupt:
-            # The generator chose not to handle an interrupt: treat as failure.
-            env._active_process = previous
-            self.fail(interrupt)
             return
         except Exception as exc:  # model error inside the process
             env._active_process = previous
@@ -161,7 +110,9 @@ class Process(Event):
     def _wait_for(self, target):
         """Attach to the event the generator just yielded."""
         if not isinstance(target, Event):
-            self._generator.throw(TypeError(
+            # Thrown into the generator like a failed event: it may catch
+            # the error and yield again, or finish by failing the process.
+            self._step(throw=TypeError(
                 f"process {self.name!r} yielded {target!r}, which is not an Event"))
             return
         if target.callbacks is None:

@@ -12,11 +12,6 @@ deque (O(1) FIFO handoff) and :class:`Request` carries ``__slots__``.
 from collections import deque
 
 from repro.sim.events import Event, Timeout
-from repro.sim.stats import UtilizationTracker
-
-
-class Preempted(Exception):
-    """Raised in a process whose resource slot was forcibly reclaimed."""
 
 
 class Request(Event):
@@ -47,7 +42,7 @@ class Resource:
         bus.release(req)
     """
 
-    __slots__ = ("env", "capacity", "name", "_users", "_waiters", "utilization")
+    __slots__ = ("env", "capacity", "name", "_users", "_waiters")
 
     def __init__(self, env, capacity=1, name=None):
         if capacity < 1:
@@ -57,7 +52,6 @@ class Resource:
         self.name = name or f"resource@{id(self):#x}"
         self._users = []
         self._waiters = deque()
-        self.utilization = UtilizationTracker(env, capacity=capacity)
 
     # -- introspection --------------------------------------------------------
     @property
@@ -77,7 +71,6 @@ class Resource:
         users = self._users
         if len(users) < self.capacity:
             users.append(req)
-            self.utilization.set(len(users))
             req.succeed()
         else:
             self._waiters.append(req)
@@ -95,7 +88,6 @@ class Resource:
             nxt = waiters.popleft()
             users.append(nxt)
             nxt.succeed()
-        self.utilization.set(len(users))
 
     def acquire(self, hold_time):
         """Convenience process-fragment: acquire, hold for *hold_time*, release.
@@ -116,7 +108,6 @@ class Resource:
         if len(users) < self.capacity:
             token = Timeout(self.env, hold_time)
             users.append(token)
-            self.utilization.set(len(users))
             try:
                 yield token
             finally:
@@ -146,18 +137,12 @@ class Resource:
                 yield from resource.acquire(hold)
             else:
                 yield event
-
-        Caveat: because the release rides on the timeout rather than on a
-        ``finally``, a process interrupted mid-hold would release at expiry,
-        not at interrupt time.  The hot paths using this (CPU charges, bus
-        hops, NIC serialisation) are never interrupted.
         """
         users = self._users
         if len(users) >= self.capacity:
             return None
         timeout = Timeout(self.env, hold_time)
         users.append(timeout)
-        self.utilization.set(len(users))
         timeout.callbacks.append(lambda _event: self.release(timeout))
         return timeout
 

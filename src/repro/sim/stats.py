@@ -1,9 +1,4 @@
-"""Statistics helpers: counters, time-weighted values and utilisation.
-
-These are updated on nearly every resource acquire/release, so the classes use
-``__slots__`` and :meth:`UtilizationTracker.set` is flattened into a single
-method (no ``super()`` dispatch on the hot path).
-"""
+"""Statistics helpers: named counters for event counts and byte totals."""
 
 
 class Counter:
@@ -19,101 +14,5 @@ class Counter:
         """Increase the counter by *amount* (default 1)."""
         self.value += amount
 
-    def reset(self):
-        """Zero the counter."""
-        self.value = 0
-
     def __repr__(self):
         return f"<Counter {self.name}={self.value}>"
-
-
-class TimeWeightedValue:
-    """Tracks the time-weighted average of a piecewise-constant quantity.
-
-    Used for queue lengths and resource occupancy: every call to :meth:`set`
-    records how long the previous level persisted.
-    """
-
-    __slots__ = ("env", "_level", "_last_change", "_weighted_sum",
-                 "_start_time", "maximum")
-
-    def __init__(self, env, initial=0.0):
-        self.env = env
-        self._level = float(initial)
-        self._last_change = env.now
-        self._weighted_sum = 0.0
-        self._start_time = env.now
-        self.maximum = float(initial)
-
-    @property
-    def level(self):
-        """The current level."""
-        return self._level
-
-    def set(self, level):
-        """Change the level, accumulating the time spent at the previous one."""
-        now = self.env._now
-        self._weighted_sum += self._level * (now - self._last_change)
-        self._level = float(level)
-        self._last_change = now
-        if level > self.maximum:
-            self.maximum = float(level)
-
-    def add(self, delta):
-        """Adjust the level by *delta*."""
-        self.set(self._level + delta)
-
-    def mean(self, until=None):
-        """Time-weighted average from creation until *until* (default: now)."""
-        end = self.env.now if until is None else until
-        total = self._weighted_sum + self._level * (end - self._last_change)
-        elapsed = end - self._start_time
-        if elapsed <= 0:
-            return self._level
-        return total / elapsed
-
-
-class UtilizationTracker(TimeWeightedValue):
-    """Time-weighted busy fraction of a resource with known capacity."""
-
-    __slots__ = ("capacity", "busy_time", "_busy_since")
-
-    def __init__(self, env, capacity=1):
-        super().__init__(env, initial=0.0)
-        self.capacity = capacity
-        self.busy_time = 0.0
-        self._busy_since = None
-
-    def set(self, level):
-        # Flattened TimeWeightedValue.set + busy-time bookkeeping: this runs
-        # on every resource request/release.
-        now = self.env._now
-        previous = self._level
-        if previous > 0 and self._busy_since is not None:
-            self.busy_time += now - self._busy_since
-            self._busy_since = None
-        self._weighted_sum += previous * (now - self._last_change)
-        level = float(level)
-        self._level = level
-        self._last_change = now
-        if level > self.maximum:
-            self.maximum = level
-        if level > 0:
-            self._busy_since = now
-
-    def utilization(self, until=None):
-        """Average fraction of capacity in use since creation."""
-        if self.capacity <= 0:
-            return 0.0
-        return self.mean(until) / self.capacity
-
-    def busy_fraction(self, until=None):
-        """Fraction of time at least one unit of capacity was in use."""
-        end = self.env.now if until is None else until
-        busy = self.busy_time
-        if self._level > 0 and self._busy_since is not None:
-            busy += end - self._busy_since
-        elapsed = end - self._start_time
-        if elapsed <= 0:
-            return 0.0
-        return busy / elapsed

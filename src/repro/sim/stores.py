@@ -1,20 +1,8 @@
-"""FIFO and priority stores for passing items between processes."""
+"""FIFO stores for passing items between processes."""
 
-import heapq
 from collections import deque
-from itertools import count
 
 from repro.sim.events import Event
-
-
-class StorePut(Event):
-    """Event returned by :meth:`Store.put`; succeeds once the item is accepted."""
-
-    __slots__ = ("item",)
-
-    def __init__(self, store, item):
-        super().__init__(store.env)
-        self.item = item
 
 
 class StoreGet(Event):
@@ -22,26 +10,19 @@ class StoreGet(Event):
 
     __slots__ = ()
 
-    def __init__(self, store):
-        super().__init__(store.env)
-
 
 class Store:
-    """An unbounded-or-bounded FIFO queue of items.
+    """An unbounded FIFO queue of items.
 
-    ``put(item)`` returns an event that fires when the item has been stored
-    (immediately unless the store is full); ``get()`` returns an event that
-    fires with the oldest item once one is available.
+    ``put(item)`` stores the item at once and returns an already-succeeded
+    event; ``get()`` returns an event that fires with the oldest item once
+    one is available.
     """
 
-    def __init__(self, env, capacity=float("inf"), name=None):
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
+    def __init__(self, env, name=None):
         self.env = env
-        self.capacity = capacity
         self.name = name or f"store@{id(self):#x}"
         self._items = deque()
-        self._putters = deque()
         self._getters = deque()
 
     # -- introspection ---------------------------------------------------------
@@ -55,93 +36,23 @@ class Store:
 
     # -- core API ---------------------------------------------------------------
     def put(self, item):
-        """Add *item*; returns an event that fires once the item is stored."""
-        event = StorePut(self, item)
-        self._putters.append(event)
-        self._dispatch()
+        """Add *item*; returns an event that has already succeeded."""
+        event = Event(self.env)
+        self._items.append(item)
+        event.succeed()
+        self._serve_getters()
         return event
 
     def get(self):
         """Remove the oldest item; returns an event carrying the item."""
-        event = StoreGet(self)
+        event = StoreGet(self.env)
         self._getters.append(event)
-        self._dispatch()
+        self._serve_getters()
         return event
 
     # -- internals ----------------------------------------------------------------
-    def _do_put(self, event):
-        if len(self._items) < self.capacity:
-            self._items.append(event.item)
-            event.succeed()
-            return True
-        return False
-
-    def _do_get(self, event):
-        if self._items:
-            event.succeed(self._items.popleft())
-            return True
-        return False
-
-    def _dispatch(self):
-        progressed = True
-        while progressed:
-            progressed = False
-            while self._putters and len(self._items) < self.capacity:
-                putter = self._putters.popleft()
-                self._do_put(putter)
-                progressed = True
-            while self._getters and self._items:
-                getter = self._getters.popleft()
-                self._do_get(getter)
-                progressed = True
-
-
-class PriorityStore(Store):
-    """A store that hands out items in ``(priority, insertion order)`` order.
-
-    Items are inserted as ``put((priority, item))`` or via
-    :meth:`put_with_priority`.  ``get()`` yields the *item* with the smallest
-    priority value.
-    """
-
-    def __init__(self, env, capacity=float("inf"), name=None):
-        super().__init__(env, capacity, name)
-        self._heap = []
-        self._tiebreak = count()
-
-    @property
-    def items(self):
-        return [entry[2] for entry in sorted(self._heap)]
-
-    def __len__(self):
-        return len(self._heap)
-
-    def put_with_priority(self, priority, item):
-        """Store *item* with an explicit numeric *priority* (lower pops first)."""
-        return self.put((priority, item))
-
-    def _do_put(self, event):
-        if len(self._heap) < self.capacity:
-            priority, item = event.item
-            heapq.heappush(self._heap, (priority, next(self._tiebreak), item))
-            event.succeed()
-            return True
-        return False
-
-    def _do_get(self, event):
-        if self._heap:
-            _priority, _tie, item = heapq.heappop(self._heap)
-            event.succeed(item)
-            return True
-        return False
-
-    def _dispatch(self):
-        progressed = True
-        while progressed:
-            progressed = False
-            while self._putters and len(self._heap) < self.capacity:
-                self._do_put(self._putters.popleft())
-                progressed = True
-            while self._getters and self._heap:
-                self._do_get(self._getters.popleft())
-                progressed = True
+    def _serve_getters(self):
+        items = self._items
+        getters = self._getters
+        while getters and items:
+            getters.popleft().succeed(items.popleft())

@@ -1,11 +1,8 @@
-"""Higher-level synchronisation helpers built on events.
+"""Barrier synchronisation built on events.
 
-The paper's collective-I/O pseudo-code uses barriers among the CPs; these are
-provided here, together with a countdown latch used by the IOPs to signal
-"all my work for this collective request is done".
+The paper's collective-I/O pseudo-code uses barriers among the CPs.
 """
 
-from repro.sim.errors import SimulationError
 from repro.sim.events import Event
 
 
@@ -45,38 +42,3 @@ class Barrier:
             for waiter in waiters:
                 waiter.succeed(generation)
         return event
-
-
-class CountDownLatch:
-    """An event that fires after :meth:`count_down` has been called *n* times."""
-
-    def __init__(self, env, n, name=None):
-        if n < 0:
-            raise ValueError(f"count must be >= 0, got {n}")
-        self.env = env
-        self.name = name or f"latch@{id(self):#x}"
-        self._remaining = n
-        self._event = Event(env)
-        if n == 0:
-            self._event.succeed(0)
-
-    @property
-    def remaining(self):
-        """How many count-downs are still needed before the latch opens."""
-        return self._remaining
-
-    def count_down(self, amount=1):
-        """Decrement the latch; opens it (fires the event) when it reaches zero."""
-        if amount < 0:
-            raise ValueError("amount must be non-negative")
-        if self._remaining <= 0:
-            raise SimulationError("count_down() on an already-open latch")
-        self._remaining -= amount
-        if self._remaining < 0:
-            raise SimulationError("latch count went negative")
-        if self._remaining == 0:
-            self._event.succeed(0)
-
-    def wait(self):
-        """Event that fires once the latch has fully counted down."""
-        return self._event

@@ -136,6 +136,91 @@ class TestScsiBus:
         env.run()
         assert observed == [None]
 
+    def test_busy_fraction_sums_contending_transfers(self):
+        # One transfer on the fast path, one queued behind it on the
+        # generator path: the bus is busy for exactly their summed
+        # occupancies, then idles until the run ends.
+        env = Environment()
+        bus = ScsiBus(env, bandwidth=10e6, transfer_overhead=1e-3)
+        port = bus.port()
+        finished = []
+
+        def fast_user(env):
+            event = port.transfer_event(env, 2_000_000)
+            assert event is not None
+            yield event
+            finished.append(env.now)
+
+        def generator_user(env):
+            yield env.timeout(0.05)
+            assert port.transfer_event(env, 3_000_000) is None
+            yield from port.transfer(env, 3_000_000)
+            finished.append(env.now)
+
+        def idler(env):
+            yield env.timeout(1.0)
+
+        env.process(fast_user(env))
+        env.process(generator_user(env))
+        env.process(idler(env))
+        env.run()
+        first, second = port.transfer_time(2_000_000), port.transfer_time(3_000_000)
+        assert finished == pytest.approx([first, first + second])
+        assert env.now == 1.0
+        assert bus.busy_fraction() == pytest.approx((first + second) / env.now)
+
+    def test_busy_fraction_of_idle_bus_is_zero(self):
+        env = Environment()
+        bus = ScsiBus(env, bandwidth=10e6)
+        assert bus.busy_fraction() == 0.0  # no time has passed yet
+        env.run(until=1.0)
+        assert bus.busy_fraction() == 0.0
+
+    def test_busy_fraction_of_back_to_back_transfers_is_one(self):
+        env = Environment()
+        bus = ScsiBus(env, bandwidth=10e6)
+        port = bus.port()
+
+        def user(env):
+            for _ in range(4):
+                yield from port.transfer(env, 1_000_000)
+
+        env.run(env.process(user(env)))
+        assert env.now == pytest.approx(0.4)
+        assert bus.busy_fraction() == pytest.approx(1.0)
+
+    def test_busy_fraction_counts_from_bus_creation(self):
+        env = Environment()
+        env.run(until=1.0)
+        bus = ScsiBus(env, bandwidth=10e6)
+        port = bus.port()
+
+        def user(env):
+            yield from port.transfer(env, 5_000_000)  # 0.5 s
+            yield env.timeout(0.5)
+
+        env.run(env.process(user(env)))
+        assert env.now == pytest.approx(2.0)
+        assert bus.busy_fraction() == pytest.approx(0.5)
+
+    def test_session_busy_seconds_split_by_session(self):
+        env = Environment()
+        bus = ScsiBus(env, bandwidth=10e6)
+        port = bus.port()
+
+        def user(env, n_bytes, session_id):
+            yield from port.transfer(env, n_bytes, session_id=session_id)
+
+        env.process(user(env, 1_000_000, "a"))
+        env.process(user(env, 3_000_000, "b"))
+        env.process(user(env, 2_000_000, None))
+        env.run()
+        assert bus.session_busy_seconds("a") == pytest.approx(0.1)
+        assert bus.session_busy_seconds("b") == pytest.approx(0.3)
+        assert bus.busy_seconds == pytest.approx(0.6)
+        bus.release_session("a")
+        assert bus.session_busy_seconds("a") == 0.0
+
 
 class TestNodes:
     def test_compute_charges_cpu(self, small_config):

@@ -1,11 +1,11 @@
 """Calendar-order equivalence: the two-tier ring+heap vs a reference heap.
 
 The two-tier calendar (`repro.sim.engine`) claims to pop events in *exactly*
-the order the old single-heap implementation did: ascending ``(time,
-priority, eid)``.  These tests drive random schedule/succeed/timeout/pop
-sequences through a real :class:`Environment` and through a reference
-single-heap calendar with the identical eid stream, asserting identical pop
-order and identical ``env.now`` trajectories.
+the order a single heap would: ascending ``(time, eid)``.  These tests drive
+random timeout/succeed/event_at/pop sequences through a real
+:class:`Environment` and through a reference single-heap calendar with the
+identical eid stream, asserting identical pop order and identical
+``env.now`` trajectories.
 """
 
 from heapq import heappop, heappush
@@ -15,30 +15,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Environment
-from repro.sim.engine import NORMAL, URGENT
 
 #: Delays drawn by the property: includes 0.0 (ring traffic) and repeated
-#: values (time ties, where priority/eid ordering is what's under test).
+#: values (time ties, where eid ordering is what's under test).
 DELAYS = (0.0, 0.0, 0.25, 0.25, 0.5, 1.0, 1.5)
-
-#: Priorities beyond the two the kernel uses, to exercise the key folding.
-PRIORITIES = (URGENT, NORMAL, NORMAL, NORMAL, 2)
 
 
 class ReferenceCalendar:
-    """The old implementation: one heap of ``(time, priority, eid, marker)``."""
+    """A plain single heap of ``(time, eid, marker)``."""
 
     def __init__(self):
         self.queue = []
         self.eid = 0
         self.now = 0.0
 
-    def schedule(self, delay, priority, marker):
-        heappush(self.queue, (self.now + delay, priority, self.eid, marker))
+    def schedule(self, delay, marker):
+        heappush(self.queue, (self.now + delay, self.eid, marker))
         self.eid += 1
 
     def pop(self):
-        when, _priority, _eid, marker = heappop(self.queue)
+        when, _eid, marker = heappop(self.queue)
         self.now = when
         return when, marker
 
@@ -46,18 +42,11 @@ class ReferenceCalendar:
         return len(self.queue)
 
 
-def _triggered_event(env):
-    event = env.event()
-    event._ok = True
-    event._value = None
-    return event
-
-
 def drive(operations):
     """Apply *operations* to both calendars; return (env_log, ref_log).
 
     Each op is ``("timeout", delay)``, ``("succeed",)``,
-    ``("schedule", delay, priority)`` or ``("pop",)``.  Scheduling ops mint
+    ``("event_at", delay)`` or ``("pop",)``.  Scheduling ops mint
     one eid in both calendars (matching the Environment's allocation);
     markers identify events across the two implementations.
     """
@@ -84,18 +73,16 @@ def drive(operations):
         if kind == "timeout":
             _kind, delay = op
             env.timeout(delay).callbacks.append(record(marker))
-            ref.schedule(delay, NORMAL, marker)
+            ref.schedule(delay, marker)
         elif kind == "succeed":
             event = env.event()
             event.callbacks.append(record(marker))
             event.succeed()
-            ref.schedule(0.0, NORMAL, marker)
-        else:  # schedule
-            _kind, delay, priority = op
-            event = _triggered_event(env)
-            event.callbacks.append(record(marker))
-            env.schedule(event, delay=delay, priority=priority)
-            ref.schedule(delay, priority, marker)
+            ref.schedule(0.0, marker)
+        else:  # event_at
+            _kind, delay = op
+            env.event_at(env.now + delay).callbacks.append(record(marker))
+            ref.schedule(delay, marker)
         pending += 1
         marker += 1
 
@@ -110,8 +97,7 @@ def drive(operations):
 operation = st.one_of(
     st.tuples(st.just("timeout"), st.sampled_from(DELAYS)),
     st.tuples(st.just("succeed")),
-    st.tuples(st.just("schedule"), st.sampled_from(DELAYS),
-              st.sampled_from(PRIORITIES)),
+    st.tuples(st.just("event_at"), st.sampled_from(DELAYS)),
     st.tuples(st.just("pop")),
 )
 
@@ -139,22 +125,10 @@ class TestCalendarEquivalence:
 
 
 class TestCalendarUnits:
-    def test_urgent_pops_before_normal_at_equal_time(self):
-        env = Environment()
-        order = []
-        normal = _triggered_event(env)
-        normal.callbacks.append(lambda _e: order.append("normal"))
-        urgent = _triggered_event(env)
-        urgent.callbacks.append(lambda _e: order.append("urgent"))
-        env.schedule(normal, delay=1.0, priority=NORMAL)
-        env.schedule(urgent, delay=1.0, priority=URGENT)
-        env.run()
-        assert order == ["urgent", "normal"]
-
     def test_ring_and_heap_interleave_by_eid_at_equal_time(self):
-        # At the same instant, a zero-delay timeout (ring), a succeed (ring)
-        # and an explicitly scheduled event (ring via delay 0) must pop in
-        # creation (eid) order, exactly as one heap would order them.
+        # At the same instant, zero-delay timeouts (ring) and a succeed
+        # (ring) must pop in creation (eid) order, exactly as one heap would
+        # order them.
         env = Environment()
         order = []
 
@@ -180,12 +154,32 @@ class TestCalendarUnits:
         env.run()
         assert order == ["now", "later"]
 
-    def test_peek_sees_both_tiers(self):
+    def test_step_pops_the_ring_before_advancing_to_the_heap(self):
         env = Environment()
-        env.timeout(2.0)
-        assert env.peek() == 2.0
-        env.event().succeed()
-        assert env.peek() == 0.0
+        later = env.timeout(2.0)
+        now_event = env.event().succeed()
+        env.step()
+        assert now_event.processed and not later.processed
+        assert env.now == 0.0
+        env.step()
+        assert later.processed
+        assert env.now == 2.0
+
+    def test_equal_time_heap_entries_pop_in_creation_order(self):
+        # Two timeouts created at different instants that land on the same
+        # future instant pop by eid: the earlier-created one first.
+        env = Environment()
+        order = []
+
+        def late_creator(env):
+            yield env.timeout(1.0)
+            env.timeout(1.0).callbacks.append(lambda _e: order.append("second"))
+
+        env.timeout(2.0).callbacks.append(lambda _e: order.append("first"))
+        env.process(late_creator(env))
+        env.run()
+        assert order == ["first", "second"]
+        assert env.now == 2.0
 
     def test_event_at_lands_on_exact_instant(self):
         env = Environment()

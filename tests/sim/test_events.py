@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Environment, Event, SimulationError, Timeout
+from repro.sim import AllOf, Environment, Event, SimulationError, Timeout
 
 
 class TestEvent:
@@ -38,11 +38,11 @@ class TestEvent:
         event = Event(env)
         error = RuntimeError("boom")
         event.fail(error)
-        event.defuse()
         assert event.triggered
         assert not event.ok
         assert event.value is error
-        env.run()
+        with pytest.raises(RuntimeError, match="boom"):
+            env.run()
 
     def test_processed_after_run(self, env):
         event = Event(env)
@@ -58,12 +58,27 @@ class TestEvent:
         env.run()
         assert seen == [event]
 
-    def test_trigger_copies_outcome(self, env):
-        source = Event(env)
-        source.succeed("payload")
-        target = Event(env)
-        target.trigger(source)
-        assert target.value == "payload"
+    def test_fail_after_succeed_raises(self, env):
+        event = Event(env).succeed()
+        with pytest.raises(SimulationError):
+            event.fail(RuntimeError("too late"))
+        env.run()
+
+    def test_ok_is_none_until_triggered(self, env):
+        event = Event(env)
+        assert event.ok is None
+        event.fail(RuntimeError("boom"))
+        assert event.ok is False
+        with pytest.raises(RuntimeError):
+            env.run()
+
+    def test_repr_tracks_state(self, env):
+        event = Event(env)
+        assert "pending" in repr(event)
+        event.succeed()
+        assert "triggered" in repr(event)
+        env.run()
+        assert "processed" in repr(event)
 
 
 class TestTimeout:
@@ -98,8 +113,11 @@ class TestTimeout:
         env.run()
         assert timeout.processed
 
-    def test_delay_property(self, env):
-        assert env.timeout(3.5).delay == 3.5
+    def test_timeout_is_triggered_at_creation(self, env):
+        timeout = env.timeout(3.0, value="v")
+        assert timeout.triggered and timeout.ok
+        assert timeout.value == "v"
+        assert not timeout.processed
 
 
 class TestConditions:
@@ -118,18 +136,6 @@ class TestConditions:
         env.process(coordinator(env))
         env.run()
         assert finish_times == [(3.0, [1.0, 2.0, 3.0])]
-
-    def test_any_of_fires_on_first(self, env):
-        arrival = []
-
-        def coordinator(env):
-            timeouts = [env.timeout(5.0), env.timeout(1.0), env.timeout(3.0)]
-            yield AnyOf(env, timeouts)
-            arrival.append(env.now)
-
-        env.process(coordinator(env))
-        env.run(until=10)
-        assert arrival == [1.0]
 
     def test_all_of_empty_list_fires_immediately(self, env):
         fired = []
@@ -209,30 +215,6 @@ class TestConditions:
         env.run(until=1.0)
         assert caught == ["already dead"]
 
-    def test_any_of_with_already_processed_child_fires_immediately(self, env):
-        early = env.timeout(0.25)
-        env.run(until=1.0)
-        done = []
-
-        def coordinator(env):
-            yield AnyOf(env, [early, env.timeout(50.0)])
-            done.append(env.now)
-
-        env.process(coordinator(env))
-        env.run(until=2.0)
-        assert done == [1.0]
-
-    def test_any_of_empty_list_fires_immediately(self, env):
-        fired = []
-
-        def coordinator(env):
-            yield AnyOf(env, [])
-            fired.append(env.now)
-
-        env.process(coordinator(env))
-        env.run()
-        assert fired == [0.0]
-
     def test_all_of_duplicate_events(self, env):
         shared = env.timeout(1.0, value="twice")
         done = []
@@ -304,6 +286,17 @@ class TestChain:
         source, target = Event(env), Event(env)
         chain(source, target)
         source.fail(RuntimeError("disk on fire"))
-        source.defuse()
-        env.run()
+        with pytest.raises(RuntimeError, match="disk on fire"):
+            env.run()
         assert not target.triggered
+
+    def test_chain_leaves_an_already_triggered_target_alone(self):
+        from repro.sim.events import chain
+
+        env = Environment()
+        source, target = Event(env), Event(env)
+        chain(source, target)
+        target.succeed("first")
+        source.succeed("second")
+        env.run()
+        assert target.value == "first"

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Environment, Interrupt, Process, StopProcess
+from repro.sim import Process
 
 
 class TestProcessBasics:
@@ -44,16 +44,6 @@ class TestProcessBasics:
         env.run()
         assert log == [("child", 2.0), ("parent", 2.0, "child-result")]
 
-    def test_stop_process_exception_finishes_early(self, env):
-        def worker(env):
-            yield env.timeout(1.0)
-            raise StopProcess("early exit")
-            yield env.timeout(100.0)  # pragma: no cover
-
-        proc = env.process(worker(env))
-        assert env.run(proc) == "early exit"
-        assert env.now == 1.0
-
     def test_exception_propagates_to_waiter(self, env):
         def child(env):
             yield env.timeout(1.0)
@@ -85,6 +75,52 @@ class TestProcessBasics:
         with pytest.raises(TypeError):
             env.run()
 
+    @pytest.mark.parametrize("make_target", [
+        lambda env: None,
+        lambda env: 42,
+        # The usual slip: ``yield`` where ``yield from`` was meant.
+        lambda env: (yield env.timeout(1.0)),
+    ], ids=["none", "int", "generator"])
+    def test_non_event_error_names_the_yielded_value(self, env, make_target):
+        def worker(env):
+            target = make_target(env)
+            yield target
+
+        proc = env.process(worker(env))
+        with pytest.raises(TypeError, match="which is not an Event"):
+            env.run()
+        assert not proc.is_alive
+
+    def test_non_event_error_can_be_caught_and_process_continues(self, env):
+        def worker(env):
+            try:
+                yield 42
+            except TypeError as error:
+                caught = str(error)
+            yield env.timeout(1.0)
+            return caught
+
+        proc = env.process(worker(env))
+        assert "not an Event" in env.run(proc)
+        assert env.now == 1.0
+        assert not proc.is_alive
+
+    def test_uncaught_non_event_error_fails_the_process(self, env):
+        def worker(env):
+            yield "not an event"
+
+        def waiter(env, proc):
+            try:
+                yield proc
+            except TypeError as error:
+                return f"caught: {error}"
+
+        proc = env.process(worker(env))
+        outcome = env.process(waiter(env, proc))
+        assert env.run(outcome).startswith("caught: process 'worker' yielded")
+        assert not proc.is_alive
+        assert not proc.ok
+
     def test_name_reflects_generator(self, env):
         def my_worker(env):
             yield env.timeout(1.0)
@@ -112,6 +148,53 @@ class TestProcessBasics:
         proc = env.process(worker(env))
         assert env.run(proc) == (2.0, None)
 
+    def test_yield_already_failed_event_raises_in_the_process(self, env):
+        failed = env.event()
+        failed.fail(RuntimeError("early failure"))
+        failed._defused = True
+        env.run()
+
+        def worker(env):
+            try:
+                yield failed
+            except RuntimeError as error:
+                return (env.now, str(error))
+
+        proc = env.process(worker(env))
+        assert env.run(proc) == (0.0, "early failure")
+
+    def test_processes_start_in_creation_order(self, env):
+        started = []
+
+        def worker(env, name):
+            started.append(name)
+            yield env.timeout(0)
+
+        for name in ("a", "b", "c"):
+            env.process(worker(env, name))
+        env.run()
+        assert started == ["a", "b", "c"]
+
+    def test_child_started_by_a_process_runs_at_the_same_instant(self, env):
+        def child(env):
+            yield env.timeout(0)
+            return env.now
+
+        def parent(env):
+            yield env.timeout(2.0)
+            return (yield env.process(child(env)))
+
+        assert env.run(env.process(parent(env))) == 2.0
+
+    def test_repr_reports_running_then_finished(self, env):
+        def worker(env):
+            yield env.timeout(1.0)
+
+        proc = env.process(worker(env))
+        assert repr(proc) == "<Process worker running>"
+        env.run()
+        assert repr(proc) == "<Process worker finished>"
+
     def test_active_process_restored_when_base_exception_escapes(self, env):
         def interrupted(env):
             yield env.timeout(1.0)
@@ -121,66 +204,3 @@ class TestProcessBasics:
         with pytest.raises(KeyboardInterrupt):
             env.run()
         assert env.active_process is None
-
-
-class TestInterrupt:
-    def test_interrupt_wakes_process(self, env):
-        log = []
-
-        def sleeper(env):
-            try:
-                yield env.timeout(100.0)
-            except Interrupt as interrupt:
-                log.append((env.now, interrupt.cause))
-
-        def interrupter(env, victim):
-            yield env.timeout(3.0)
-            victim.interrupt("wake up")
-
-        victim = env.process(sleeper(env))
-        env.process(interrupter(env, victim))
-        env.run()
-        assert log == [(3.0, "wake up")]
-
-    def test_interrupted_process_can_continue(self, env):
-        log = []
-
-        def sleeper(env):
-            try:
-                yield env.timeout(100.0)
-            except Interrupt:
-                pass
-            yield env.timeout(1.0)
-            log.append(env.now)
-
-        def interrupter(env, victim):
-            yield env.timeout(2.0)
-            victim.interrupt()
-
-        victim = env.process(sleeper(env))
-        env.process(interrupter(env, victim))
-        env.run()
-        assert log == [3.0]
-
-    def test_unhandled_interrupt_fails_process(self, env):
-        def sleeper(env):
-            yield env.timeout(100.0)
-
-        def interrupter(env, victim):
-            yield env.timeout(1.0)
-            victim.interrupt("unhandled")
-
-        victim = env.process(sleeper(env))
-        env.process(interrupter(env, victim))
-        with pytest.raises(Interrupt):
-            env.run()
-
-    def test_interrupting_finished_process_is_an_error(self, env):
-        def quick(env):
-            yield env.timeout(1.0)
-
-        proc = env.process(quick(env))
-        env.run()
-        from repro.sim import SimulationError
-        with pytest.raises(SimulationError):
-            proc.interrupt()

@@ -1,8 +1,6 @@
-"""Tests for counters, time-weighted values and utilisation tracking."""
+"""Tests for counters."""
 
-import pytest
-
-from repro.sim import Counter, Environment, TimeWeightedValue, UtilizationTracker
+from repro.sim import Counter
 
 
 class TestCounter:
@@ -15,69 +13,16 @@ class TestCounter:
         counter.add(4)
         assert counter.value == 5
 
-    def test_reset(self):
-        counter = Counter("x")
-        counter.add(10)
-        counter.reset()
-        assert counter.value == 0
+    def test_add_accumulates_byte_amounts(self):
+        counter = Counter("bus.bytes")
+        for _ in range(3):
+            counter.add(8192)
+        assert counter.value == 3 * 8192
 
+    def test_name_defaults_to_empty(self):
+        assert Counter().name == ""
 
-class TestTimeWeightedValue:
-    def test_constant_value_mean(self):
-        env = Environment()
-        value = TimeWeightedValue(env, initial=3.0)
-        env.run(until=10.0)
-        assert value.mean() == pytest.approx(3.0)
-
-    def test_step_change_mean(self):
-        env = Environment()
-        value = TimeWeightedValue(env, initial=0.0)
-        env.run(until=5.0)
-        value.set(10.0)
-        env.run(until=10.0)
-        assert value.mean() == pytest.approx(5.0)
-
-    def test_add_adjusts_level(self):
-        env = Environment()
-        value = TimeWeightedValue(env, initial=1.0)
-        value.add(2.0)
-        assert value.level == 3.0
-
-    def test_maximum_is_tracked(self):
-        env = Environment()
-        value = TimeWeightedValue(env, initial=0.0)
-        value.set(7.0)
-        value.set(2.0)
-        assert value.maximum == 7.0
-
-    def test_mean_with_zero_elapsed_is_level(self):
-        env = Environment()
-        value = TimeWeightedValue(env, initial=4.0)
-        assert value.mean() == 4.0
-
-
-class TestUtilizationTracker:
-    def test_idle_resource_has_zero_utilisation(self):
-        env = Environment()
-        tracker = UtilizationTracker(env, capacity=1)
-        env.run(until=10.0)
-        assert tracker.utilization() == 0.0
-        assert tracker.busy_fraction() == 0.0
-
-    def test_half_busy(self):
-        env = Environment()
-        tracker = UtilizationTracker(env, capacity=1)
-        tracker.set(1)
-        env.run(until=5.0)
-        tracker.set(0)
-        env.run(until=10.0)
-        assert tracker.busy_fraction() == pytest.approx(0.5)
-        assert tracker.utilization() == pytest.approx(0.5)
-
-    def test_partial_capacity_utilisation(self):
-        env = Environment()
-        tracker = UtilizationTracker(env, capacity=4)
-        tracker.set(2)
-        env.run(until=10.0)
-        assert tracker.utilization() == pytest.approx(0.5)
-        assert tracker.busy_fraction() == pytest.approx(1.0)
+    def test_repr_shows_name_and_value(self):
+        counter = Counter("disk.reads")
+        counter.add(7)
+        assert repr(counter) == "<Counter disk.reads=7>"

@@ -1,15 +1,9 @@
-"""Tests for FIFO and priority stores."""
+"""Tests for FIFO stores."""
 
-import pytest
-
-from repro.sim import Environment, PriorityStore, Store
+from repro.sim import Environment, Store
 
 
 class TestStore:
-    def test_capacity_must_be_positive(self, env):
-        with pytest.raises(ValueError):
-            Store(env, capacity=0)
-
     def test_put_then_get(self):
         env = Environment()
         store = Store(env)
@@ -58,28 +52,6 @@ class TestStore:
         env.run()
         assert received == [1, 2, 3]
 
-    def test_bounded_capacity_blocks_putter(self):
-        env = Environment()
-        store = Store(env, capacity=1)
-        log = []
-
-        def producer(env, store):
-            yield store.put("first")
-            log.append(("put-first", env.now))
-            yield store.put("second")
-            log.append(("put-second", env.now))
-
-        def consumer(env, store):
-            yield env.timeout(5.0)
-            item = yield store.get()
-            log.append(("got", item, env.now))
-
-        env.process(producer(env, store))
-        env.process(consumer(env, store))
-        env.run()
-        assert ("put-first", 0.0) in log
-        assert ("put-second", 5.0) in log
-
     def test_len_and_items(self, env):
         store = Store(env)
         store.put("a")
@@ -104,46 +76,51 @@ class TestStore:
         env.run()
         assert sorted(received) == [("x", 1), ("y", 2)]
 
+    def test_put_returns_an_already_succeeded_event(self, env):
+        store = Store(env)
+        event = store.put("x")
+        assert event.triggered and event.ok
+        assert not event.processed
+        env.run()
+        assert event.processed
 
-class TestPriorityStore:
-    def test_items_pop_in_priority_order(self):
+    def test_put_event_fires_before_the_waiting_getter(self):
+        # put() schedules its own event before handing the item to a waiting
+        # getter, so the producer resumes first at the shared instant.
         env = Environment()
-        store = PriorityStore(env)
-        received = []
+        store = Store(env)
+        order = []
 
         def consumer(env, store):
-            yield env.timeout(1.0)
-            for _ in range(3):
-                item = yield store.get()
-                received.append(item)
+            item = yield store.get()
+            order.append(("consumer", item, env.now))
 
-        store.put_with_priority(5, "low")
-        store.put_with_priority(1, "high")
-        store.put_with_priority(3, "mid")
+        def producer(env, store):
+            yield env.timeout(2.0)
+            yield store.put("item")
+            order.append(("producer", None, env.now))
+
         env.process(consumer(env, store))
+        env.process(producer(env, store))
         env.run()
-        assert received == ["high", "mid", "low"]
+        assert order == [("producer", None, 2.0), ("consumer", "item", 2.0)]
 
-    def test_equal_priorities_keep_insertion_order(self):
-        env = Environment()
-        store = PriorityStore(env)
-        received = []
+    def test_get_from_nonempty_store_takes_the_item_at_once(self, env):
+        store = Store(env)
+        store.put("a")
+        store.put("b")
+        event = store.get()
+        assert event.triggered and event.value == "a"
+        assert store.items == ["b"]
 
-        def consumer(env, store):
-            yield env.timeout(1.0)
-            for _ in range(3):
-                received.append((yield store.get()))
+    def test_items_is_a_snapshot(self, env):
+        store = Store(env)
+        store.put("a")
+        snapshot = store.items
+        snapshot.append("not stored")
+        assert store.items == ["a"]
+        assert len(store) == 1
 
-        for name in ("first", "second", "third"):
-            store.put_with_priority(7, name)
-        env.process(consumer(env, store))
-        env.run()
-        assert received == ["first", "second", "third"]
-
-    def test_len_tracks_heap(self, env):
-        store = PriorityStore(env)
-        store.put_with_priority(2, "b")
-        store.put_with_priority(1, "a")
-        env.run()
-        assert len(store) == 2
-        assert store.items == ["a", "b"]
+    def test_name(self, env):
+        assert Store(env, name="inbox").name == "inbox"
+        assert Store(env).name.startswith("store@")

@@ -1,8 +1,8 @@
-"""Tests for barriers and latches."""
+"""Tests for barriers."""
 
 import pytest
 
-from repro.sim import Barrier, CountDownLatch, Environment, SimulationError
+from repro.sim import Barrier, Environment
 
 
 class TestBarrier:
@@ -65,44 +65,31 @@ class TestBarrier:
         assert barrier.n_waiting == 0
         env.run()
 
+    def test_generation_counts_completed_rounds(self, env):
+        barrier = Barrier(env, parties=2)
+        assert barrier.generation == 0
+        barrier.wait()
+        assert barrier.generation == 0
+        barrier.wait()
+        assert barrier.generation == 1
+        env.run()
 
-class TestCountDownLatch:
-    def test_negative_count_rejected(self, env):
-        with pytest.raises(ValueError):
-            CountDownLatch(env, -1)
-
-    def test_zero_count_is_open_immediately(self, env):
-        latch = CountDownLatch(env, 0)
-        assert latch.wait().triggered
-
-    def test_opens_after_n_countdowns(self):
+    def test_waiters_resume_in_arrival_order(self):
         env = Environment()
-        latch = CountDownLatch(env, 3)
-        opened = []
+        barrier = Barrier(env, parties=3)
+        released = []
 
-        def waiter(env, latch):
-            yield latch.wait()
-            opened.append(env.now)
-
-        def worker(env, latch, delay):
+        def participant(env, barrier, delay, name):
             yield env.timeout(delay)
-            latch.count_down()
+            yield barrier.wait()
+            released.append(name)
 
-        env.process(waiter(env, latch))
-        for delay in (1.0, 2.0, 4.0):
-            env.process(worker(env, latch, delay))
+        env.process(participant(env, barrier, 2.0, "second"))
+        env.process(participant(env, barrier, 3.0, "last"))
+        env.process(participant(env, barrier, 1.0, "first"))
         env.run()
-        assert opened == [4.0]
+        assert released == ["first", "second", "last"]
 
-    def test_count_down_below_zero_is_an_error(self, env):
-        latch = CountDownLatch(env, 1)
-        latch.count_down()
-        with pytest.raises(SimulationError):
-            latch.count_down()
-        env.run()
-
-    def test_remaining_counts_down(self, env):
-        latch = CountDownLatch(env, 2)
-        assert latch.remaining == 2
-        latch.count_down()
-        assert latch.remaining == 1
+    def test_name(self, env):
+        assert Barrier(env, parties=2, name="cps").name == "cps"
+        assert Barrier(env, parties=2).name.startswith("barrier@")

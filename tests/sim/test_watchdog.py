@@ -75,7 +75,7 @@ class TestDeadlockDiagnosis:
 
 class TestWatchdog:
     def test_normal_run_unaffected_by_watchdog(self):
-        """The watched loop gives the same answer as the fast loop."""
+        """An armed watchdog gives the same answer as an unwatched run."""
         def worker(env):
             total = 0.0
             for _ in range(10):
@@ -90,7 +90,7 @@ class TestWatchdog:
         assert got == expected
         assert watched.now == plain.now
 
-    def test_watchdog_until_time_matches_fast_loop(self):
+    def test_watchdog_until_time_matches_unwatched_run(self):
         def ticker(env):
             while True:
                 yield env.timeout(1.0)
