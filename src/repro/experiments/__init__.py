@@ -10,7 +10,9 @@
 * :mod:`repro.experiments.claims` — checks the paper's headline claims
   (e.g. "disk-directed I/O was up to 16 times faster") against measured data.
 * :mod:`repro.experiments.service` — beyond the paper: the service-style
-  experiment family (concurrent mixed collectives vs offered load).
+  experiment family (concurrent mixed collectives) and its figures, one
+  :class:`~repro.experiments.service.FamilySpec` each, run by
+  :func:`~repro.experiments.service.run_figure`.
 """
 
 from repro.experiments.config import ExperimentConfig, TrialSummary
@@ -25,9 +27,10 @@ from repro.experiments.runner import (
     trial_cache_key,
 )
 from repro.experiments.service import (
+    FAMILIES,
     ServiceExperimentConfig,
+    run_figure,
     run_service_experiment,
-    service_figure,
 )
 from repro.experiments.figures import (
     FIGURES,
@@ -42,6 +45,7 @@ from repro.experiments.figures import (
 
 __all__ = [
     "ExperimentConfig",
+    "FAMILIES",
     "FIGURES",
     "ResultCache",
     "ServiceExperimentConfig",
@@ -54,10 +58,10 @@ __all__ = [
     "figure8",
     "register_experiment_family",
     "run_experiment",
+    "run_figure",
     "run_service_experiment",
     "run_trial",
     "run_trials",
-    "service_figure",
     "sweep",
     "sweep_parallel",
     "table1",

@@ -12,21 +12,13 @@ figure.  The module doubles as the ``ddio-figures`` command-line tool::
 
 import argparse
 import sys
+from functools import partial
 
 from repro.experiments.claims import check_headline_claims
 from repro.experiments.config import MEGABYTE, ExperimentConfig
 from repro.experiments.report import format_bar_chart, format_series_table, format_table
 from repro.experiments.runner import run_trials, sweep, sweep_parallel
-from repro.experiments.service import (
-    service_admission_figure,
-    service_faults_figure,
-    service_figure,
-    service_flash_figure,
-    service_millions_figure,
-    service_overload_figure,
-    service_rebuild_figure,
-    service_scheduler_figure,
-)
+from repro.experiments.service import FAMILIES, run_figure
 from repro.machine import MachineConfig
 from repro.patterns import READ_PATTERN_NAMES, WRITE_PATTERN_NAMES
 
@@ -223,30 +215,9 @@ def table1():
         rows, columns=["parameter", "value"])
 
 
-#: Registry used by the CLI and the benchmark harness.  ``service`` goes
-#: beyond the paper: concurrent mixed collectives vs offered load (see
-#: repro.experiments.service and docs/workloads.md).  ``service-sched``
-#: compares per-collective presort with the shared per-disk IOP queues
-#: (CSCAN/SSTF, worker-pool sizes) at K in {1, 2, 4, 8} (docs/scheduling.md).
-#: ``service-overload`` pushes an open loop to ~4x saturation with
-#: heavy-tailed file sizes and an 8-byte record mix (docs/workloads.md).
-#: ``service-faults`` injects deterministic disk faults (transient errors,
-#: a fail-slow drive, one fail-stop drive out of 32) and compares goodput
-#: and tail latency under bounded retry (docs/faults.md).
-#: ``service-millions`` measures the overload asymptote directly: a million
-#: 8 KB sessions per headline row through the constant-memory streaming
-#: driver on a 128-disk machine (docs/workloads.md) — slow (tens of
-#: minutes); pass ``--json`` to refresh its docs/data artifact.
-#: ``service-admission`` sweeps the admission disciplines (FIFO, SJF,
-#: priority, EDF, adaptive-K SLO controller) over the overload workload
-#: (docs/workloads.md); pass ``--json`` to refresh its docs/data artifact.
-#: ``ddio-flash`` re-asks the paper's question on flash: DDIO vs TC on the
-#: disk and on a bandwidth-matched SSD (docs/flash.md); pass ``--json`` to
-#: refresh its docs/data artifact.
-#: ``service-rebuild`` kills a drive under declustered parity and follows
-#: goodput through degraded reads and the online rebuild, asserting zero
-#: failed bytes (docs/redundancy.md); pass ``--json`` to refresh its
-#: docs/data artifact.
+#: Registry used by the CLI: the paper's figures, then every service family
+#: of repro.experiments.service (concurrent collectives beyond the paper;
+#: see docs/experiments.md for what each one shows).
 FIGURES = {
     "table1": table1,
     "figure3": figure3,
@@ -255,14 +226,7 @@ FIGURES = {
     "figure6": figure6,
     "figure7": figure7,
     "figure8": figure8,
-    "service": service_figure,
-    "service-sched": service_scheduler_figure,
-    "service-overload": service_overload_figure,
-    "service-faults": service_faults_figure,
-    "service-millions": service_millions_figure,
-    "service-admission": service_admission_figure,
-    "ddio-flash": service_flash_figure,
-    "service-rebuild": service_rebuild_figure,
+    **{name: partial(run_figure, name) for name in FAMILIES},
 }
 
 
@@ -298,10 +262,8 @@ def main(argv=None):
                         help="cache trial results on disk so re-running a "
                              "figure only simulates changed data points")
     parser.add_argument("--json", type=str, default=None, metavar="PATH",
-                        help="also write the figure's docs/data JSON "
-                             "artifact (service-millions, service-admission, "
-                             "service-faults, ddio-flash and service-rebuild "
-                             "only)")
+                        help="also write the figure's JSON artifact "
+                             "(service families only)")
     parser.add_argument("--quiet", action="store_true", help="suppress progress")
     args = parser.parse_args(argv)
 
@@ -317,18 +279,10 @@ def main(argv=None):
         generator = FIGURES[name]
         if name == "table1":
             _rows, text = generator()
-        elif name in ("service", "service-sched", "service-overload",
-                      "service-faults", "service-millions",
-                      "service-admission", "ddio-flash",
-                      "service-rebuild"):
-            extra = {"json_path": args.json} \
-                if name in ("service-millions", "service-admission",
-                            "service-faults", "ddio-flash",
-                            "service-rebuild") \
-                and args.json else {}
+        elif name in FAMILIES:
             summaries, text = generator(
                 trials=args.trials, progress=progress,
-                workers=args.workers, cache=args.cache, **extra)
+                workers=args.workers, cache=args.cache, json_path=args.json)
             collected.extend(summaries)
         elif name in ("figure3", "figure4"):
             summaries, text = generator(

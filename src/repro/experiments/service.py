@@ -1,39 +1,33 @@
-"""The ``service`` experiment family: concurrent collectives vs offered load.
+"""The service experiment families: concurrent collectives under load.
 
-The paper's figures each time one collective in isolation.  This family
-drives the service-style workload of :mod:`repro.workload` — a stream of
+The paper's figures each time one collective in isolation.  These families
+drive the service-style workload of :mod:`repro.workload` — a stream of
 mixed read/write collectives over several open files, K admitted at a time —
-and plots sustained throughput and response-time percentiles against offered
-load, DDIO vs traditional caching.  It is the north-star scenario: a parallel
-file *server* under heavy concurrent traffic.
+and sweep it against offered load, scheduling, admission, faults, storage
+device and redundancy, DDIO vs traditional caching.  They are the
+north-star scenario: a parallel file *server* under heavy concurrent
+traffic.
 
-The family plugs into the generic sweep machinery of
+Each figure is one :class:`FamilySpec` in :data:`FAMILIES`, run by
+:func:`run_figure` through the generic sweep machinery of
 :mod:`repro.experiments.runner` (serial/parallel sweeps, on-disk result
 cache), so ``ddio-figures service --workers 4 --cache DIR`` works exactly
 like the paper figures.
 """
 
-from dataclasses import dataclass
+import json
+from dataclasses import asdict, dataclass, field
 
 from repro.disk.faults import FaultConfig
+from repro.disk.flash import matched_ssd_spec
 from repro.experiments.config import MEGABYTE
 from repro.experiments.report import format_series_table, format_table
-from repro.experiments.runner import register_experiment_family
+from repro.experiments.runner import register_experiment_family, sweep_parallel
 from repro.machine import MachineConfig
+from repro.workload.aggregate import QuantileSketch
 from repro.workload.driver import ServiceResult, ServiceWorkload, run_service
 
 KILOBYTE = 1024
-
-#: Offered loads (requests/second) swept by the default service figure.
-#: At the default scale (32 x 1 MB collectives, paper machine) the server
-#: saturates around 8-9 requests/second, so the sweep spans under-load,
-#: saturation and over-load.  The 16-file working set (16 MB) deliberately
-#: exceeds the traditional IOP caches (4 MB aggregate) — a server under heavy
-#: traffic from many jobs does not fit its working set in cache.
-DEFAULT_LOADS = (4.0, 8.0, 16.0)
-
-#: Methods compared by the default service figure.
-SERVICE_METHODS = ("disk-directed", "traditional")
 
 #: Wall-clock seconds without simulated progress before a fault-injected
 #: trial is declared wedged (a diagnosable DeadlockError, not a hang).
@@ -270,77 +264,254 @@ register_experiment_family(ServiceExperimentConfig, run_service_experiment,
                            ServiceResult)
 
 
-# -- the figure ------------------------------------------------------------------
-
-def service_configs(loads=DEFAULT_LOADS, methods=SERVICE_METHODS, **overrides):
-    """The config grid of the service figure: one point per (load, method)."""
-    configs = []
-    for load in loads:
-        for method in methods:
-            configs.append(ServiceExperimentConfig(
-                method=method,
-                arrival_rate=load,
-                label=f"{method}@{load:g}",
-                **overrides,
-            ))
-    return configs
+# -- figure families -------------------------------------------------------------
+#
+# Every service figure is the same pipeline: the product of a family's axes
+# over its default fields is a grid of ServiceExperimentConfig points, one
+# sweep runs it, each point becomes a table row, series tables plot columns
+# of the rows, and the rows can be written as a JSON artifact.  A family is
+# one FamilySpec in FAMILIES; run_figure is the pipeline.
 
 
-def service_figure(loads=DEFAULT_LOADS, methods=SERVICE_METHODS, trials=1,
-                   progress=None, workers=None, cache=None, **overrides):
-    """Throughput and response-time percentiles vs offered load, per method.
+@dataclass(frozen=True)
+class Axis:
+    """One dimension of a family's grid.
 
-    Returns ``(summaries, text)`` like every other figure generator.  Extra
-    keyword arguments override :class:`ServiceExperimentConfig` fields (e.g.
-    ``n_cps=4, file_size=128*1024`` for a laptop-scale run).
+    *name* is the :func:`run_figure` keyword that replaces *values*.  When
+    *fields* names a config field, each value sets that field; a tuple of
+    field names takes a tuple of settings per value.  Without *fields*, each
+    value is a named variant ``(name, {field: setting, ...})``.  *varies*,
+    when given, is called with the fields set so far and limits the axis to
+    the points it returns True for: elsewhere only the first value runs.
     """
-    from repro.experiments.runner import sweep_parallel
 
-    configs = service_configs(loads=loads, methods=methods, **overrides)
-    summaries = sweep_parallel(configs, trials=trials, progress=progress,
+    name: str
+    values: tuple
+    fields: object = ()
+    varies: object = None
+
+    def levels(self, values):
+        """``(variant name or None, {field: setting})`` per value."""
+        if isinstance(self.fields, str):
+            return [(None, {self.fields: value}) for value in values]
+        if self.fields:
+            return [(None, dict(zip(self.fields, value))) for value in values]
+        return [(name, dict(fields)) for name, fields in values]
+
+
+@dataclass(frozen=True)
+class Series:
+    """One series table: title, x label, and the ``(x, y)`` points of a row."""
+
+    title: str
+    x_label: str
+    points: object
+
+
+def _versus(y, x="load_req_s"):
+    """Series points: one ``(row[x], row[y])`` per row."""
+    return lambda row: [(row[x], row[y])]
+
+
+@dataclass(frozen=True)
+class Grid:
+    """A family's resolved grid: its configs in sweep order, and the variant
+    each took from every named-variant axis (``{axis name: variant name}``)."""
+
+    configs: tuple
+    variants: tuple
+
+    @property
+    def sample(self):
+        return self.configs[0]
+
+    def values(self, name):
+        """Distinct settings of one config field, in sweep order."""
+        return list(dict.fromkeys(getattr(config, name)
+                                  for config in self.configs))
+
+    def names(self, axis):
+        """Distinct variant names of one named-variant axis, in sweep order."""
+        return list(dict.fromkeys(variant[axis] for variant in self.variants))
+
+
+def _method_series(row, grid):
+    method = row["method"]
+    return "DDIO" if method.startswith("disk-directed") else \
+        method.replace("traditional", "TC")
+
+
+def _conserves(config, result):
+    if not result.conserves_bytes():
+        raise AssertionError(
+            f"byte conservation violated in {config.label}: "
+            f"moved + failed + shed != requested")
+
+
+def _loses_nothing(config, result):
+    if result.failed_bytes or result.lost_bytes:
+        raise AssertionError(
+            f"parity lost data in {config.label}: "
+            f"failed={result.failed_bytes} lost={result.lost_bytes}")
+
+
+def _grid_config(grid):
+    """The config fields *grid* sets away from their defaults: the setting,
+    or the list of settings where the grid sweeps the field."""
+    default = ServiceExperimentConfig()
+    config = {}
+    for name in asdict(default):
+        values = grid.values(name)
+        if name not in ("label", "seed") \
+                and values != [getattr(default, name)]:
+            config[name] = values if len(values) > 1 else values[0]
+    return config
+
+
+@dataclass(frozen=True)
+class FamilySpec:
+    """One service figure, declared: grid, rows, text and artifact.
+
+    *doc* is the question the figure asks.  The grid is the product of
+    *axes* (outermost first) over *defaults*.  *row(summary, variants)*
+    turns one point's summary into its table row; *columns* picks the table
+    columns (None: every row key).  *header(grid)* opens the text, each
+    :class:`Series` becomes a series table with one column per
+    *series_name(row, grid)*, and *footnote* closes it.  Every check in
+    *checks* runs on every trial.  *tables(rows, grid)* adds ``(key, title,
+    rows, columns)`` tables to the text and the artifact; *extras()* adds
+    artifact-only keys.  The artifact records *config(grid)* (default: the
+    fields the grid sets), and its ``regenerate`` command writes to
+    *artifact*.
+    """
+
+    name: str
+    doc: str
+    axes: tuple
+    row: object
+    header: object
+    series: tuple
+    defaults: dict = field(default_factory=dict)
+    columns: tuple = None
+    series_name: object = _method_series
+    checks: tuple = (_conserves,)
+    tables: object = lambda rows, grid: ()
+    extras: object = dict
+    footnote: str = ""
+    config: object = _grid_config
+    artifact: str = "<path>"
+
+    def grid(self, **overrides):
+        """The points this family runs under *overrides* (see
+        :func:`run_figure`)."""
+        levels = [axis.levels(overrides.pop(axis.name, axis.values))
+                  for axis in self.axes]
+        base = dict(self.defaults)
+        for key, value in overrides.items():
+            swept = False
+            for index, axis_levels in enumerate(levels):
+                if any(key in fields for _name, fields in axis_levels):
+                    swept = True
+                    levels[index] = _merge(
+                        [(name, {**fields, key: value} if key in fields
+                          else fields) for name, fields in axis_levels])
+            if not swept:
+                base[key] = value
+        points = [((), base)]
+        for axis, axis_levels in zip(self.axes, levels):
+            points = [(taken + (level,), {**fields, **level[1]})
+                      for taken, fields in points
+                      for level in (axis_levels if axis.varies is None
+                                    or axis.varies(fields)
+                                    else axis_levels[:1])]
+        return Grid(
+            configs=tuple(ServiceExperimentConfig(
+                label=":".join(_tag(level) for level in taken), **fields)
+                for taken, fields in points),
+            variants=tuple({axis.name: name
+                            for axis, (name, _fields) in zip(self.axes, taken)
+                            if name is not None}
+                           for taken, _fields in points))
+
+
+def _merge(levels):
+    """*levels* with later duplicates (equal field settings) dropped."""
+    kept = []
+    for name, fields in levels:
+        if all(fields != other for _name, other in kept):
+            kept.append((name, fields))
+    return kept
+
+
+def _tag(level):
+    name, fields = level
+    if name is not None:
+        return name
+    return ",".join(f"{value:g}" if isinstance(value, float) else str(value)
+                    for value in fields.values())
+
+
+def run_figure(name, trials=1, progress=None, workers=None, cache=None,
+               json_path=None, **overrides):
+    """Run the service figure *name*, a key of :data:`FAMILIES`.
+
+    Returns ``(summaries, text)`` like every other figure generator; with
+    *json_path* the rows are also written there as a JSON artifact.
+    Keyword *overrides* reshape the grid:
+
+    * an axis name (``loads=(50.0,)``) replaces that axis's values;
+    * a config field an axis sets (``arrival_rate=50.0``) takes the new
+      setting wherever the axis sets it, and settings left identical run
+      once: a swept field's axis collapses to the single value, and a field
+      only some named variants set (``controller_target_p99=0.5``) changes
+      only those variants;
+    * any other config field (``n_cps=4``) applies to every point.
+    """
+    spec = FAMILIES[name]
+    grid = spec.grid(**overrides)
+    summaries = sweep_parallel(grid.configs, trials=trials, progress=progress,
                                workers=workers, cache=cache)
-    throughput_series = {}
-    p50_series = {}
-    p99_series = {}
     rows = []
-    for summary in summaries:
-        config = summary.config
-        name = "DDIO" if config.method.startswith("disk-directed") else \
-            config.method.replace("traditional", "TC")
-        load = config.arrival_rate
-        mean_tp = summary.mean_throughput_mb
-        p50 = _mean(result.response_percentile(0.50) for result in summary.results)
-        p99 = _mean(result.response_percentile(0.99) for result in summary.results)
-        throughput_series.setdefault(name, []).append((load, mean_tp))
-        p50_series.setdefault(name, []).append((load, p50 * 1e3))
-        p99_series.setdefault(name, []).append((load, p99 * 1e3))
-        rows.append({
-            "method": config.method,
-            "load_req_s": load,
-            "throughput_mb": mean_tp,
-            "p50_ms": p50 * 1e3,
-            "p99_ms": p99 * 1e3,
-            "max_in_flight": max(result.max_in_flight
-                                 for result in summary.results),
-            "trials": len(summary.results),
-        })
-    sample = configs[0]
-    text = (
-        f"Service workload: {sample.n_requests} mixed collectives "
-        f"({sample.read_fraction:.0%} reads) over {sample.n_files} "
-        f"{sample.file_size // KILOBYTE} KB {sample.layout} files, "
-        f"K={sample.concurrency} admitted, {sample.arrival} arrivals\n\n"
-        + format_table(rows, columns=["method", "load_req_s", "throughput_mb",
-                                      "p50_ms", "p99_ms", "max_in_flight",
-                                      "trials"])
-        + "\n\nSustained throughput (Mbytes/s) vs offered load (req/s)\n"
-        + format_series_table(throughput_series, x_label="load")
-        + "\n\nMedian response time (ms) vs offered load (req/s)\n"
-        + format_series_table(p50_series, x_label="load")
-        + "\n\n99th-percentile response time (ms) vs offered load (req/s)\n"
-        + format_series_table(p99_series, x_label="load")
-    )
-    return summaries, text
+    for summary, variants in zip(summaries, grid.variants):
+        for result in summary.results:
+            for check in spec.checks:
+                check(summary.config, result)
+        rows.append(spec.row(summary, variants))
+    tables = spec.tables(rows, grid)
+    blocks = [spec.header(grid), format_table(rows, columns=spec.columns)]
+    blocks += [f"{title}\n{format_table(table, columns=columns)}"
+               for _key, title, table, columns in tables]
+    for series in spec.series:
+        points = {}
+        for row in rows:
+            points.setdefault(spec.series_name(row, grid), []).extend(
+                series.points(row))
+        blocks.append(f"{series.title}\n"
+                      + format_series_table(points, x_label=series.x_label))
+    if spec.footnote:
+        blocks.append(spec.footnote)
+    if json_path:
+        artifact = {
+            "figure": name,
+            "regenerate": "PYTHONPATH=src python -m repro.experiments.figures "
+                          f"{name} --json {spec.artifact}",
+            "config": {**spec.config(grid), "trials": trials,
+                       "seed": grid.sample.seed},
+            "rows": _rounded(rows),
+        }
+        artifact.update((key, _rounded(table))
+                        for key, _title, table, _columns in tables)
+        artifact.update((key, _rounded(extra))
+                        for key, extra in spec.extras().items())
+        with open(json_path, "w", encoding="utf-8") as handle:
+            json.dump(artifact, handle, indent=2)
+            handle.write("\n")
+    return summaries, "\n\n".join(blocks)
+
+
+def _rounded(rows):
+    return [{key: round(value, 4) if isinstance(value, float) else value
+             for key, value in row.items()} for row in rows]
 
 
 def _mean(values):
@@ -348,7 +519,94 @@ def _mean(values):
     return sum(values) / len(values) if values else 0.0
 
 
-# -- the scheduler-comparison figure ---------------------------------------------
+def _avg(summary, attribute, scale=1):
+    """Mean over the trials of one result attribute, divided by *scale*."""
+    return _mean(getattr(result, attribute) / scale
+                 for result in summary.results)
+
+
+def _percentile(summary, fraction):
+    """Mean over the trials of one response-time percentile, seconds."""
+    return _mean(result.response_percentile(fraction)
+                 for result in summary.results)
+
+
+def _max_in_flight(summary):
+    return max(result.max_in_flight for result in summary.results)
+
+
+def _fields(config, *names):
+    return {name: getattr(config, name) for name in names}
+
+
+def _machine(config):
+    return (f"{config.n_cps} CPs / {config.n_iops} IOPs / "
+            f"{config.n_disks} disks")
+
+
+# -- service: throughput and response time vs offered load ------------------------
+
+#: Offered loads (requests/second) swept by the default service figure.
+#: At the default scale (32 x 1 MB collectives, paper machine) the server
+#: saturates around 8-9 requests/second, so the sweep spans under-load,
+#: saturation and over-load.  The 16-file working set (16 MB) deliberately
+#: exceeds the traditional IOP caches (4 MB aggregate) — a server under heavy
+#: traffic from many jobs does not fit its working set in cache.
+DEFAULT_LOADS = (4.0, 8.0, 16.0)
+
+#: Methods compared by every DDIO-vs-TC family.
+SERVICE_METHODS = ("disk-directed", "traditional")
+
+_LOAD_AXIS = Axis("loads", DEFAULT_LOADS, "arrival_rate")
+_METHOD_AXIS = Axis("methods", SERVICE_METHODS, "method")
+
+
+def _service_row(summary, variants):
+    config = summary.config
+    return {
+        "method": config.method,
+        "load_req_s": config.arrival_rate,
+        "throughput_mb": summary.mean_throughput_mb,
+        "p50_ms": _percentile(summary, 0.50) * 1e3,
+        "p99_ms": _percentile(summary, 0.99) * 1e3,
+        "max_in_flight": _max_in_flight(summary),
+        "trials": len(summary.results),
+    }
+
+
+def _service_header(grid):
+    sample = grid.sample
+    return (f"Service workload: {sample.n_requests} mixed collectives "
+            f"({sample.read_fraction:.0%} reads) over {sample.n_files} "
+            f"{sample.file_size // KILOBYTE} KB {sample.layout} files, "
+            f"K={sample.concurrency} admitted, {sample.arrival} arrivals")
+
+
+_THROUGHPUT_VS_LOAD = Series(
+    "Sustained throughput (Mbytes/s) vs offered load (req/s)", "load",
+    _versus("throughput_mb"))
+
+SERVICE = FamilySpec(
+    name="service",
+    doc="""Throughput and response-time percentiles vs offered load, per method.
+
+    The north-star scenario: a parallel file server under concurrent mixed
+    traffic, DDIO vs traditional caching, from under-load through saturation
+    to over-load.""",
+    axes=(_LOAD_AXIS, _METHOD_AXIS),
+    row=_service_row,
+    header=_service_header,
+    series=(
+        _THROUGHPUT_VS_LOAD,
+        Series("Median response time (ms) vs offered load (req/s)", "load",
+               _versus("p50_ms")),
+        Series("99th-percentile response time (ms) vs offered load (req/s)",
+               "load", _versus("p99_ms")),
+    ),
+)
+
+
+# -- service-sched: cross-collective IOP scheduling --------------------------------
 
 #: Concurrency levels swept by the scheduler figure: the K>1 points are where
 #: per-collective presorted streams interleave at the drive.
@@ -369,109 +627,71 @@ SCHEDULER_LOADS = (8.0, 16.0)
 SCHEDULER_POOL_SIZES = (2,)
 
 
-def service_scheduler_configs(loads=SCHEDULER_LOADS,
-                              concurrencies=SCHEDULER_CONCURRENCIES,
-                              schedulers=SCHEDULER_CHOICES,
-                              pool_sizes=SCHEDULER_POOL_SIZES, **overrides):
-    """The config grid: one point per (K, scheduler, pool size, load), DDIO only.
-
-    Worker-pool size only matters under shared scheduling, so ``fcfs`` points
-    are generated once — at the sweep's first pool size, keeping the baseline
-    row consistent with the sweep it anchors — however many *pool_sizes* are
-    swept; a pool sweep does not duplicate the baseline.
-    """
-    configs = []
-    for concurrency in concurrencies:
-        for scheduler in schedulers:
-            shared = scheduler.startswith("shared-")
-            for pool in (pool_sizes if shared else pool_sizes[:1]):
-                for load in loads:
-                    label = f"K={concurrency} {scheduler}"
-                    if shared and len(pool_sizes) > 1:
-                        label += f" w={pool}"
-                    configs.append(ServiceExperimentConfig(
-                        method="disk-directed",
-                        arrival_rate=load,
-                        concurrency=concurrency,
-                        disk_scheduler=scheduler,
-                        shared_queue_workers=pool,
-                        label=f"{label}@{load:g}",
-                        **overrides,
-                    ))
-    return configs
+def _scheduler_row(summary, variants):
+    config = summary.config
+    return {
+        "K": config.concurrency,
+        "scheduler": config.disk_scheduler,
+        "workers": config.shared_queue_workers,
+        "load_req_s": config.arrival_rate,
+        "throughput_mb": summary.mean_throughput_mb,
+        "p99_ms": _percentile(summary, 0.99) * 1e3,
+        "trials": len(summary.results),
+    }
 
 
-def service_scheduler_figure(loads=SCHEDULER_LOADS,
-                             concurrencies=SCHEDULER_CONCURRENCIES,
-                             schedulers=SCHEDULER_CHOICES,
-                             pool_sizes=SCHEDULER_POOL_SIZES, trials=1,
-                             progress=None, workers=None, cache=None,
-                             **overrides):
-    """Cross-collective IOP scheduling vs per-collective presort, K∈{1,2,4,8}.
+def _scheduler_series(row, grid):
+    name = f"K={row['K']} {row['scheduler']}"
+    if row["scheduler"].startswith("shared-") \
+            and len(grid.values("shared_queue_workers")) > 1:
+        name += f" w={row['workers']}"
+    return name
+
+
+def _scheduler_header(grid):
+    sample = grid.sample
+    return (f"Cross-collective IOP scheduling (disk-directed I/O): "
+            f"per-collective sort (fcfs drive queue) vs shared per-disk "
+            f"queues\n{sample.n_requests} mixed collectives "
+            f"({sample.read_fraction:.0%} reads) over {sample.n_files} "
+            f"{sample.file_size // KILOBYTE} KB {sample.layout} files, "
+            f"{sample.arrival} arrivals")
+
+
+SCHEDULER = FamilySpec(
+    name="service-sched",
+    doc="""Cross-collective IOP scheduling vs per-collective presort, K∈{1,2,4,8}.
 
     The K>1 pathology: every DDIO session presorts its own block list, so at
     concurrency K the drive sees K interleaved sorted streams — forfeiting
     the single-collective sort benefit the paper demonstrates.  The shared
     per-disk queue at the IOP merges the streams back into one sweep; this
     figure compares the CSCAN elevator against greedy SSTF (and, via
-    *pool_sizes*, the per-drive worker-pool budget) at each K.  The regimes
+    ``pool_sizes``, the per-drive worker-pool budget) at each K.  The regimes
     should coincide at K=1 and diverge in the shared policies' favour as K
-    grows.
-
-    Returns ``(summaries, text)`` like every other figure generator; extra
-    keyword arguments override :class:`ServiceExperimentConfig` fields.
-    """
-    from repro.experiments.runner import sweep_parallel
-
-    configs = service_scheduler_configs(loads=loads,
-                                        concurrencies=concurrencies,
-                                        schedulers=schedulers,
-                                        pool_sizes=pool_sizes, **overrides)
-    summaries = sweep_parallel(configs, trials=trials, progress=progress,
-                               workers=workers, cache=cache)
-    sweep_pools = len(pool_sizes) > 1
-    throughput_series = {}
-    p99_series = {}
-    rows = []
-    for summary in summaries:
-        config = summary.config
-        name = f"K={config.concurrency} {config.disk_scheduler}"
-        if sweep_pools and config.disk_scheduler.startswith("shared-"):
-            name += f" w={config.shared_queue_workers}"
-        load = config.arrival_rate
-        mean_tp = summary.mean_throughput_mb
-        p99 = _mean(result.response_percentile(0.99) for result in summary.results)
-        throughput_series.setdefault(name, []).append((load, mean_tp))
-        p99_series.setdefault(name, []).append((load, p99 * 1e3))
-        rows.append({
-            "K": config.concurrency,
-            "scheduler": config.disk_scheduler,
-            "workers": config.shared_queue_workers,
-            "load_req_s": load,
-            "throughput_mb": mean_tp,
-            "p99_ms": p99 * 1e3,
-            "trials": len(summary.results),
-        })
-    sample = configs[0]
-    text = (
-        f"Cross-collective IOP scheduling (disk-directed I/O): "
-        f"per-collective sort (fcfs drive queue) vs shared per-disk queues\n"
-        f"{sample.n_requests} mixed collectives "
-        f"({sample.read_fraction:.0%} reads) over {sample.n_files} "
-        f"{sample.file_size // KILOBYTE} KB {sample.layout} files, "
-        f"{sample.arrival} arrivals\n\n"
-        + format_table(rows, columns=["K", "scheduler", "workers",
-                                      "load_req_s", "throughput_mb", "p99_ms",
-                                      "trials"])
-        + "\n\nSustained throughput (Mbytes/s) vs offered load (req/s)\n"
-        + format_series_table(throughput_series, x_label="load")
-        + "\n\n99th-percentile response time (ms) vs offered load (req/s)\n"
-        + format_series_table(p99_series, x_label="load")
-    )
-    return summaries, text
+    grows.  Pool size only matters under shared scheduling, so ``fcfs``
+    runs once, at the first pool size.""",
+    axes=(
+        Axis("concurrencies", SCHEDULER_CONCURRENCIES, "concurrency"),
+        Axis("schedulers", SCHEDULER_CHOICES, "disk_scheduler"),
+        Axis("pool_sizes", SCHEDULER_POOL_SIZES, "shared_queue_workers",
+             varies=lambda fields:
+             fields["disk_scheduler"].startswith("shared-")),
+        Axis("loads", SCHEDULER_LOADS, "arrival_rate"),
+    ),
+    defaults=dict(method="disk-directed"),
+    row=_scheduler_row,
+    header=_scheduler_header,
+    series=(
+        _THROUGHPUT_VS_LOAD,
+        Series("99th-percentile response time (ms) vs offered load (req/s)",
+               "load", _versus("p99_ms")),
+    ),
+    series_name=_scheduler_series,
+)
 
 
-# -- the overload figure ----------------------------------------------------------
+# -- service-overload: response-time asymptotes ------------------------------------
 
 #: Offered loads (requests/second) swept by the overload figure.  The default
 #: service machine saturates around 8-9 req/s, so the sweep reaches ~4x
@@ -479,46 +699,43 @@ def service_scheduler_figure(loads=SCHEDULER_LOADS,
 #: bound and response time is governed by the asymptote, not the mean.
 OVERLOAD_LOADS = (4.0, 8.0, 16.0, 24.0, 32.0)
 
-#: Methods compared by the overload figure.
-OVERLOAD_METHODS = ("disk-directed", "traditional")
+#: The overload workload: Pareto (alpha=1.5) file sizes with mean 1 MB, a
+#: record-size mix that includes the 8-byte cyclic requests of Figure 3,
+#: random layout, and a larger machine (32 disks over 16 IOPs) so the
+#: overload comes from the request stream, not an undersized back end.
+OVERLOAD_WORKLOAD = dict(size_distribution="pareto", size_alpha=1.5,
+                         record_sizes=(8, 8192), n_disks=32, n_requests=32,
+                         concurrency=4, layout="random")
 
 
-def service_overload_configs(loads=OVERLOAD_LOADS, methods=OVERLOAD_METHODS,
-                             **overrides):
-    """The config grid of the overload figure: one point per (load, method).
-
-    Defaults describe the paper's worst case scaled to a server: Pareto
-    (alpha=1.5) file sizes with mean 1 MB, a record-size mix that includes
-    the 8-byte cyclic requests of Figure 3, random layout, and a larger
-    machine (32 disks over 16 IOPs) so the overload comes from the request
-    stream, not from an undersized back end.
-    """
-    defaults = dict(
-        size_distribution="pareto",
-        size_alpha=1.5,
-        record_sizes=(8, 8192),
-        n_disks=32,
-        n_requests=32,
-        concurrency=4,
-        layout="random",
-    )
-    defaults.update(overrides)
-    configs = []
-    for load in loads:
-        for method in methods:
-            configs.append(ServiceExperimentConfig(
-                method=method,
-                arrival_rate=load,
-                label=f"{method}@{load:g}",
-                **defaults,
-            ))
-    return configs
+def _overload_row(summary, variants):
+    config = summary.config
+    return {
+        "method": config.method,
+        "load_req_s": config.arrival_rate,
+        "throughput_mb": summary.mean_throughput_mb,
+        "mean_rt_s": _avg(summary, "mean_response_time"),
+        "p99_rt_s": _percentile(summary, 0.99),
+        "max_in_flight": _max_in_flight(summary),
+        "trials": len(summary.results),
+    }
 
 
-def service_overload_figure(loads=OVERLOAD_LOADS, methods=OVERLOAD_METHODS,
-                            trials=1, progress=None, workers=None, cache=None,
-                            **overrides):
-    """Response-time asymptotes under overload: heavy tails + 8-byte records.
+def _overload_header(grid):
+    sample = grid.sample
+    record_mix = ",".join(str(size) for size in
+                          (sample.record_sizes or (sample.record_size,)))
+    return (f"Overload study: {sample.arrival} arrivals to "
+            f"~{max(grid.values('arrival_rate')):g} req/s, "
+            f"{sample.size_distribution} file sizes (mean "
+            f"{sample.file_size // KILOBYTE} KB, alpha={sample.size_alpha:g}), "
+            f"record mix {{{record_mix}}} bytes, {sample.layout} layout, "
+            f"{_machine(sample)}, K={sample.concurrency}")
+
+
+OVERLOAD = FamilySpec(
+    name="service-overload",
+    doc="""Response-time asymptotes under overload: heavy tails + 8-byte records.
 
     The paper's core claim is that disk-directed I/O stays near hardware
     limits even for its worst patterns while traditional caching collapses.
@@ -530,248 +747,128 @@ def service_overload_figure(loads=OVERLOAD_LOADS, methods=OVERLOAD_METHODS,
     should flatten at each method's capacity (DDIO's plateau higher) while
     response times diverge — and the DDIO:TC response-time gap should
     *widen* with load, because TC burns its IOP CPUs on per-record request
-    handling precisely when there is no idle time left to hide it in.
-
-    Returns ``(summaries, text)``; extra keyword arguments override
-    :class:`ServiceExperimentConfig` fields (tests run it on a tiny machine).
-    """
-    from repro.experiments.runner import sweep_parallel
-
-    configs = service_overload_configs(loads=loads, methods=methods,
-                                       **overrides)
-    summaries = sweep_parallel(configs, trials=trials, progress=progress,
-                               workers=workers, cache=cache)
-    throughput_series = {}
-    mean_series = {}
-    p99_series = {}
-    rows = []
-    for summary in summaries:
-        config = summary.config
-        name = "DDIO" if config.method.startswith("disk-directed") else \
-            config.method.replace("traditional", "TC")
-        load = config.arrival_rate
-        mean_tp = summary.mean_throughput_mb
-        mean_rt = _mean(result.mean_response_time for result in summary.results)
-        p99 = _mean(result.response_percentile(0.99)
-                    for result in summary.results)
-        throughput_series.setdefault(name, []).append((load, mean_tp))
-        mean_series.setdefault(name, []).append((load, mean_rt))
-        p99_series.setdefault(name, []).append((load, p99))
-        rows.append({
-            "method": config.method,
-            "load_req_s": load,
-            "throughput_mb": mean_tp,
-            "mean_rt_s": mean_rt,
-            "p99_rt_s": p99,
-            "max_in_flight": max(result.max_in_flight
-                                 for result in summary.results),
-            "trials": len(summary.results),
-        })
-    sample = configs[0]
-    record_mix = ",".join(str(size) for size in
-                          (sample.record_sizes or (sample.record_size,)))
-    text = (
-        f"Overload study: {sample.arrival} arrivals to ~{max(loads):g} req/s, "
-        f"{sample.size_distribution} file sizes (mean "
-        f"{sample.file_size // KILOBYTE} KB, alpha={sample.size_alpha:g}), "
-        f"record mix {{{record_mix}}} bytes, {sample.layout} layout, "
-        f"{sample.n_cps} CPs / {sample.n_iops} IOPs / {sample.n_disks} disks, "
-        f"K={sample.concurrency}\n\n"
-        + format_table(rows, columns=["method", "load_req_s", "throughput_mb",
-                                      "mean_rt_s", "p99_rt_s", "max_in_flight",
-                                      "trials"])
-        + "\n\nSustained throughput (Mbytes/s) vs offered load (req/s)\n"
-        + format_series_table(throughput_series, x_label="load")
-        + "\n\nMean response time (s) vs offered load (req/s) — the asymptote\n"
-        + format_series_table(mean_series, x_label="load")
-        + "\n\n99th-percentile response time (s) vs offered load (req/s)\n"
-        + format_series_table(p99_series, x_label="load")
-    )
-    return summaries, text
+    handling precisely when there is no idle time left to hide it in.""",
+    axes=(Axis("loads", OVERLOAD_LOADS, "arrival_rate"), _METHOD_AXIS),
+    defaults=OVERLOAD_WORKLOAD,
+    row=_overload_row,
+    header=_overload_header,
+    series=(
+        _THROUGHPUT_VS_LOAD,
+        Series("Mean response time (s) vs offered load (req/s) — the "
+               "asymptote", "load", _versus("mean_rt_s")),
+        Series("99th-percentile response time (s) vs offered load (req/s)",
+               "load", _versus("p99_rt_s")),
+    ),
+)
 
 
-# -- the million-session figure ----------------------------------------------------
-
-#: Offered loads (requests/second) for the sweep rows of the million-session
-#: figure.  The headline machine (8 CPs / 8 IOPs / 128 disks, 8 KB sessions)
-#: saturates near 95 req/s under DDIO and ~360 req/s under TC, so the sweep
-#: straddles both saturation points.
-MILLIONS_LOADS = (50.0, 100.0, 200.0, 400.0)
-
-#: The deep-overload load of the headline rows: far beyond either method's
-#: capacity, so the measured completion rate *is* the overload asymptote.
-MILLIONS_HEADLINE_LOAD = 800.0
-
-#: Methods compared by the million-session figure.
-MILLIONS_METHODS = ("disk-directed", "traditional")
+# -- service-millions: the asymptote at a million sessions -------------------------
 
 #: Sessions per sweep row (cheap) and per headline row (the million-session
 #: asymptote measurement the figure exists for).
 MILLIONS_SWEEP_REQUESTS = 50_000
 MILLIONS_HEADLINE_REQUESTS = 1_000_000
 
+#: The deep-overload load of the headline rows: far beyond either method's
+#: capacity, so the measured completion rate *is* the overload asymptote.
+MILLIONS_HEADLINE_LOAD = 800.0
 
-def service_millions_configs(loads=MILLIONS_LOADS, methods=MILLIONS_METHODS,
-                             headline_load=MILLIONS_HEADLINE_LOAD,
-                             sweep_requests=MILLIONS_SWEEP_REQUESTS,
-                             headline_requests=MILLIONS_HEADLINE_REQUESTS,
-                             **overrides):
-    """The config grid: (loads + headline_load) x methods, streaming driver.
-
-    Defaults describe the smallest useful session — one 8 KB record against
-    a 128-disk machine — because the point of this figure is *session count*,
-    not bytes: a million independent arrivals through one simulated server.
-    Every config runs with ``streaming=True`` (no per-request record list),
-    which is what makes the million-session rows possible at all.
-    """
-    defaults = dict(
-        n_cps=8,
-        n_iops=8,
-        n_disks=128,
-        n_files=64,
-        file_size=8 * KILOBYTE,
-        layout="contiguous",
-        pattern_specs=("b",),
-        record_size=8192,
-        concurrency=64,
-        streaming=True,
-    )
-    defaults.update(overrides)
-    configs = []
-    for load in tuple(loads) + (headline_load,):
-        n_requests = headline_requests if load == headline_load \
-            else sweep_requests
-        for method in methods:
-            configs.append(ServiceExperimentConfig(
-                method=method,
-                arrival_rate=load,
-                n_requests=n_requests,
-                label=f"{method}@{load:g}",
-                **defaults,
-            ))
-    return configs
+#: ``(offered load, sessions)`` per row of the million-session figure, the
+#: headline row last.  The headline machine (8 CPs / 8 IOPs / 128 disks,
+#: 8 KB sessions) saturates near 95 req/s under DDIO and ~360 req/s under
+#: TC, so the sweep rows straddle both saturation points.
+MILLIONS_LOADS = tuple((load, MILLIONS_SWEEP_REQUESTS)
+                       for load in (50.0, 100.0, 200.0, 400.0)) \
+    + ((MILLIONS_HEADLINE_LOAD, MILLIONS_HEADLINE_REQUESTS),)
 
 
-def service_millions_figure(loads=MILLIONS_LOADS, methods=MILLIONS_METHODS,
-                            headline_load=MILLIONS_HEADLINE_LOAD,
-                            sweep_requests=MILLIONS_SWEEP_REQUESTS,
-                            headline_requests=MILLIONS_HEADLINE_REQUESTS,
-                            trials=1, progress=None, workers=None, cache=None,
-                            json_path=None, **overrides):
-    """The overload asymptote, measured directly: a million 8 KB sessions.
+def _millions_row(summary, variants):
+    config = summary.config
+    return {
+        "method": config.method,
+        "load_req_s": config.arrival_rate,
+        "n_requests": config.n_requests,
+        "completion_rate_s": _mean(
+            result.aggregates.get("completed", result.n_requests)
+            / result.elapsed
+            for result in summary.results if result.elapsed > 0),
+        "throughput_mb": summary.mean_throughput_mb,
+        "p50_rt_s": _percentile(summary, 0.50),
+        "p99_rt_s": _percentile(summary, 0.99),
+        "max_in_flight": _max_in_flight(summary),
+        "trials": len(summary.results),
+    }
+
+
+def _millions_shape(grid):
+    """``(headline load, headline sessions, sweep sessions)``: the headline
+    is the last row, the sweep size the first row's."""
+    headline = grid.configs[-1]
+    return (headline.arrival_rate, headline.n_requests,
+            grid.sample.n_requests)
+
+
+def _millions_header(grid):
+    sample = grid.sample
+    headline_load, headline_requests, sweep_requests = _millions_shape(grid)
+    return (f"Million-session overload asymptote: {sample.arrival} arrivals "
+            f"to {headline_load:g} req/s, {headline_requests} sessions per "
+            f"headline row ({sweep_requests} per sweep row), "
+            f"{sample.file_size // KILOBYTE} KB sessions over "
+            f"{sample.n_files} {sample.layout} files, {_machine(sample)}, "
+            f"K={sample.concurrency}, streaming driver")
+
+
+def _millions_config(grid):
+    headline_load, headline_requests, sweep_requests = _millions_shape(grid)
+    return {**_fields(grid.sample, "arrival", "file_size", "record_size",
+                      "layout", "n_files", "n_cps", "n_iops", "n_disks",
+                      "concurrency", "streaming"),
+            "headline_load": headline_load,
+            "headline_requests": headline_requests,
+            "sweep_requests": sweep_requests}
+
+
+MILLIONS = FamilySpec(
+    name="service-millions",
+    doc="""The overload asymptote, measured directly: a million 8 KB sessions.
 
     The overload figure extrapolates each method's asymptote from 32-request
     runs; this figure *measures* it.  An open-loop Poisson stream is pushed
     to ~8x DDIO saturation and run for a million sessions per headline row —
-    only possible because the streaming driver folds every completed session
-    into mergeable aggregates (constant memory in the session count) instead
-    of retaining per-request records.  The sweep rows trace the approach to
-    saturation; the headline rows pin the asymptote to three digits.
+    only possible because the streaming driver (``streaming=True``, no
+    per-request record list) folds every completed session into mergeable
+    aggregates, constant memory in the session count.  The sweep rows trace
+    the approach to saturation; the headline rows pin the asymptote to three
+    digits.  Sessions are the smallest useful ones — one 8 KB record against
+    a 128-disk machine — because the point is *session count*, not bytes.
 
     At this scale the result inverts the paper's headline, honestly: an
     8 KB session is a single block per file, so DDIO's per-collective setup
     (presort, per-disk streams across 8 IOPs) is pure overhead and
     traditional caching's asymptote is the higher one.  DDIO's advantage is
     a *per-byte* one that grows with transfer size — which is exactly what
-    the paper says, read from the other side.
-
-    When *json_path* is given, the rows are also written as the
-    ``docs/data/service_millions.json`` artifact quoted by the docs.
-
-    Returns ``(summaries, text)``; extra keyword arguments override
-    :class:`ServiceExperimentConfig` fields (tests shrink the run this way).
-    """
-    import json as _json
-
-    from repro.experiments.runner import sweep_parallel
-
-    configs = service_millions_configs(
-        loads=loads, methods=methods, headline_load=headline_load,
-        sweep_requests=sweep_requests, headline_requests=headline_requests,
-        **overrides)
-    summaries = sweep_parallel(configs, trials=trials, progress=progress,
-                               workers=workers, cache=cache)
-    rate_series = {}
-    p99_series = {}
-    rows = []
-    for summary in summaries:
-        config = summary.config
-        name = "DDIO" if config.method.startswith("disk-directed") else "TC"
-        load = config.arrival_rate
-        mean_tp = summary.mean_throughput_mb
-        rate = _mean(result.aggregates.get("completed", result.n_requests)
-                     / result.elapsed
-                     for result in summary.results if result.elapsed > 0)
-        p50 = _mean(result.response_percentile(0.50)
-                    for result in summary.results)
-        p99 = _mean(result.response_percentile(0.99)
-                    for result in summary.results)
-        rate_series.setdefault(name, []).append((load, rate))
-        p99_series.setdefault(name, []).append((load, p99))
-        rows.append({
-            "method": config.method,
-            "load_req_s": load,
-            "n_requests": config.n_requests,
-            "completion_rate_s": rate,
-            "throughput_mb": mean_tp,
-            "p50_rt_s": p50,
-            "p99_rt_s": p99,
-            "max_in_flight": max(result.max_in_flight
-                                 for result in summary.results),
-            "trials": len(summary.results),
-        })
-    sample = configs[0]
-    text = (
-        f"Million-session overload asymptote: {sample.arrival} arrivals to "
-        f"{headline_load:g} req/s, {headline_requests} sessions per headline "
-        f"row ({sweep_requests} per sweep row), "
-        f"{sample.file_size // KILOBYTE} KB sessions over {sample.n_files} "
-        f"{sample.layout} files, {sample.n_cps} CPs / {sample.n_iops} IOPs / "
-        f"{sample.n_disks} disks, K={sample.concurrency}, streaming driver\n\n"
-        + format_table(rows, columns=["method", "load_req_s", "n_requests",
-                                      "completion_rate_s", "throughput_mb",
-                                      "p50_rt_s", "p99_rt_s", "max_in_flight",
-                                      "trials"])
-        + "\n\nCompletion rate (sessions/s) vs offered load (req/s) — the "
-          "asymptote\n"
-        + format_series_table(rate_series, x_label="load")
-        + "\n\n99th-percentile response time (s) vs offered load (req/s)\n"
-        + format_series_table(p99_series, x_label="load")
-    )
-    if json_path:
-        artifact = {
-            "figure": "service-millions",
-            "regenerate": "PYTHONPATH=src python -m repro.experiments.figures "
-                          "service-millions --json docs/data/"
-                          "service_millions.json",
-            "config": {
-                "arrival": sample.arrival,
-                "file_size": sample.file_size,
-                "record_size": sample.record_size,
-                "layout": sample.layout,
-                "n_files": sample.n_files,
-                "n_cps": sample.n_cps,
-                "n_iops": sample.n_iops,
-                "n_disks": sample.n_disks,
-                "concurrency": sample.concurrency,
-                "streaming": sample.streaming,
-                "headline_load": headline_load,
-                "headline_requests": headline_requests,
-                "sweep_requests": sweep_requests,
-                "trials": trials,
-                "seed": sample.seed,
-            },
-            "rows": [{key: (round(value, 4)
-                            if isinstance(value, float) else value)
-                      for key, value in row.items()} for row in rows],
-        }
-        with open(json_path, "w", encoding="utf-8") as handle:
-            _json.dump(artifact, handle, indent=2)
-            handle.write("\n")
-    return summaries, text
+    the paper says, read from the other side.""",
+    axes=(Axis("loads", MILLIONS_LOADS, ("arrival_rate", "n_requests")),
+          _METHOD_AXIS),
+    defaults=dict(n_cps=8, n_iops=8, n_disks=128, n_files=64,
+                  file_size=8 * KILOBYTE, layout="contiguous",
+                  pattern_specs=("b",), record_size=8192, concurrency=64,
+                  streaming=True),
+    row=_millions_row,
+    header=_millions_header,
+    series=(
+        Series("Completion rate (sessions/s) vs offered load (req/s) — the "
+               "asymptote", "load", _versus("completion_rate_s")),
+        Series("99th-percentile response time (s) vs offered load (req/s)",
+               "load", _versus("p99_rt_s")),
+    ),
+    config=_millions_config,
+    artifact="docs/data/service_millions.json",
+)
 
 
-# -- the fault-injection figure ----------------------------------------------------
+# -- service-faults: goodput under injected disk faults ----------------------------
 
 #: The fault scenarios swept by the ``service-faults`` figure, in sweep
 #: order: name -> ServiceExperimentConfig fault-field overrides.  The sweep
@@ -791,55 +888,57 @@ FAULT_SCENARIOS = (
                    "fault_fail_stop_disk": 0, "fault_fail_stop_time": 2.0}),
 )
 
-#: Methods compared by the fault figure.
-FAULT_METHODS = ("disk-directed", "traditional")
-
 #: Offered load for the fault figure (requests/second): near saturation, so
 #: retry storms and a lost drive bite while the healthy baseline still keeps
 #: up — degradation, not overload, is what the figure isolates.
 FAULT_LOAD = 8.0
 
-
-def service_faults_configs(scenarios=FAULT_SCENARIOS, methods=FAULT_METHODS,
-                           load=FAULT_LOAD, device="disk", **overrides):
-    """The config grid of the fault figure: one point per (scenario, method).
-
-    Defaults mirror the overload machine (32 disks over 16 IOPs, random
-    layout) so "one fail-stop drive" means losing 1/32 of the spindles, but
-    with fixed file sizes and a single near-saturation load so every delta
-    against the healthy row is attributable to the injected faults.
-    *device* swaps the storage backend (``disk`` / ``ssd``) so the same
-    fault taxonomy can be priced on flash.
-    """
-    defaults = dict(
-        n_disks=32,
-        n_requests=32,
-        concurrency=4,
-        layout="random",
-        device=device,
-    )
-    defaults.update(overrides)
-    # An arrival_rate override (tests shrink the run this way) wins over the
-    # explicit load parameter rather than colliding with it.
-    load = defaults.pop("arrival_rate", load)
-    configs = []
-    for scenario, faults in scenarios:
-        for method in methods:
-            configs.append(ServiceExperimentConfig(
-                method=method,
-                arrival_rate=load,
-                label=f"{scenario}:{method}",
-                **faults,
-                **defaults,
-            ))
-    return configs
+#: The fault and rebuild machine: the overload machine (32 disks over 16
+#: IOPs, random layout) so "one fail-stop drive" means losing 1/32 of the
+#: spindles, with fixed file sizes and one near-saturation load so every
+#: delta against the healthy row is attributable to the injected faults.
+FAULT_WORKLOAD = dict(n_disks=32, n_requests=32, concurrency=4,
+                      layout="random", arrival_rate=FAULT_LOAD)
 
 
-def service_faults_figure(scenarios=FAULT_SCENARIOS, methods=FAULT_METHODS,
-                          load=FAULT_LOAD, trials=1, progress=None,
-                          workers=None, cache=None, json_path=None,
-                          device="disk", **overrides):
-    """Goodput and p99 under injected disk faults, DDIO vs TC.
+def _faults_row(summary, variants):
+    config = summary.config
+    return {
+        "scenario": variants["scenarios"],
+        "method": config.method,
+        "goodput_mb": _avg(summary, "goodput_mb"),
+        "p99_ms": _percentile(summary, 0.99) * 1e3,
+        "failed_mb": _avg(summary, "failed_bytes", MEGABYTE),
+        "lost_mb": _avg(summary, "lost_bytes", MEGABYTE),
+        "retries": _avg(summary, "total_retries"),
+        "degraded": _avg(summary, "degraded_requests"),
+        "trials": len(summary.results),
+    }
+
+
+def _faults_header(grid):
+    sample = grid.sample
+    return (f"Fault injection on {sample.device}: "
+            f"{len(grid.names('scenarios'))} scenarios x DDIO/TC under "
+            f"bounded retry (on_fault={sample.on_fault!r}), "
+            f"{sample.arrival}@{sample.arrival_rate:g} req/s, "
+            f"{sample.n_requests} mixed collectives over {sample.n_files} "
+            f"{sample.layout} files, {_machine(sample)}")
+
+
+def _faults_config(grid):
+    sample = grid.sample
+    return {"device": sample.device,
+            "scenarios": grid.names("scenarios"),
+            "methods": grid.values("method"),
+            "load_req_s": sample.arrival_rate,
+            **_fields(sample, "on_fault", "n_requests", "concurrency",
+                      "layout", "n_cps", "n_iops", "n_disks")}
+
+
+FAULTS = FamilySpec(
+    name="service-faults",
+    doc="""Goodput and p99 under injected disk faults, DDIO vs TC.
 
     The robustness question the paper never asks: disk-directed I/O wins by
     giving the disks a long presorted stream — what happens when a drive in
@@ -847,106 +946,24 @@ def service_faults_figure(scenarios=FAULT_SCENARIOS, methods=FAULT_METHODS,
     methods under the bounded-retry policy; the table reports *goodput*
     (delivered-and-durable bytes/s — failed blocks are explicitly given up,
     never silently dropped), tail latency, undelivered data, retry volume
-    and how many requests completed degraded.  Byte conservation
-    (``delivered + failed == requested``) is asserted per trial.
-
-    *device* re-runs the whole sweep on another storage backend (``ssd``
-    prices the same fault taxonomy on flash: no positioning to recover, so
-    fail-stop costs capacity, not schedule); when *json_path* is given the
-    rows are written as a JSON artifact (``docs/data/service_faults_ssd.
-    json`` is the flash run quoted by ``docs/faults.md``).  Returns
-    ``(summaries, text)``; extra keyword arguments override
-    :class:`ServiceExperimentConfig` fields (tests run a tiny machine).
-    """
-    import json as _json
-
-    from repro.experiments.runner import sweep_parallel
-
-    configs = service_faults_configs(scenarios=scenarios, methods=methods,
-                                     load=load, device=device, **overrides)
-    summaries = sweep_parallel(configs, trials=trials, progress=progress,
-                               workers=workers, cache=cache)
-    goodput_series = {}
-    p99_series = {}
-    rows = []
-    for summary in summaries:
-        config = summary.config
-        scenario = config.label.split(":", 1)[0]
-        name = "DDIO" if config.method.startswith("disk-directed") else "TC"
-        for result in summary.results:
-            if not result.conserves_bytes():
-                raise AssertionError(
-                    f"byte conservation violated in {config.label}: "
-                    f"delivered + failed != requested")
-        goodput = _mean(result.goodput_mb for result in summary.results)
-        p99 = _mean(result.response_percentile(0.99)
-                    for result in summary.results)
-        goodput_series.setdefault(name, []).append((scenario, goodput))
-        p99_series.setdefault(name, []).append((scenario, p99 * 1e3))
-        rows.append({
-            "scenario": scenario,
-            "method": config.method,
-            "goodput_mb": goodput,
-            "p99_ms": p99 * 1e3,
-            "failed_mb": _mean(result.failed_bytes / MEGABYTE
-                               for result in summary.results),
-            "lost_mb": _mean(result.lost_bytes / MEGABYTE
-                             for result in summary.results),
-            "retries": _mean(result.total_retries
-                             for result in summary.results),
-            "degraded": _mean(result.degraded_requests
-                              for result in summary.results),
-            "trials": len(summary.results),
-        })
-    sample = configs[0]
-    text = (
-        f"Fault injection on {sample.device}: {len(scenarios)} scenarios x "
-        f"DDIO/TC under "
-        f"bounded retry (on_fault={sample.on_fault!r}), "
-        f"{sample.arrival}@{sample.arrival_rate:g} req/s, "
-        f"{sample.n_requests} mixed "
-        f"collectives over {sample.n_files} {sample.layout} files, "
-        f"{sample.n_cps} CPs / {sample.n_iops} IOPs / {sample.n_disks} "
-        f"disks\n\n"
-        + format_table(rows, columns=["scenario", "method", "goodput_mb",
-                                      "p99_ms", "failed_mb", "lost_mb",
-                                      "retries", "degraded", "trials"])
-        + "\n\nGoodput (Mbytes/s) per fault scenario\n"
-        + format_series_table(goodput_series, x_label="scenario")
-        + "\n\n99th-percentile response time (ms) per fault scenario\n"
-        + format_series_table(p99_series, x_label="scenario")
-    )
-    if json_path:
-        artifact = {
-            "figure": "service-faults",
-            "regenerate": "PYTHONPATH=src python -m repro.experiments.figures "
-                          "service-faults --json <path>",
-            "config": {
-                "device": sample.device,
-                "scenarios": [name for name, _ in scenarios],
-                "methods": list(methods),
-                "load_req_s": sample.arrival_rate,
-                "on_fault": sample.on_fault,
-                "n_requests": sample.n_requests,
-                "concurrency": sample.concurrency,
-                "layout": sample.layout,
-                "n_cps": sample.n_cps,
-                "n_iops": sample.n_iops,
-                "n_disks": sample.n_disks,
-                "trials": trials,
-                "seed": sample.seed,
-            },
-            "rows": [{key: (round(value, 4)
-                            if isinstance(value, float) else value)
-                      for key, value in row.items()} for row in rows],
-        }
-        with open(json_path, "w", encoding="utf-8") as handle:
-            _json.dump(artifact, handle, indent=2)
-            handle.write("\n")
-    return summaries, text
+    and how many requests completed degraded.  ``device="ssd"`` prices the
+    same fault taxonomy on flash: no positioning to recover, so fail-stop
+    costs capacity, not schedule (``docs/data/service_faults_ssd.json``).""",
+    axes=(Axis("scenarios", FAULT_SCENARIOS), _METHOD_AXIS),
+    defaults=FAULT_WORKLOAD,
+    row=_faults_row,
+    header=_faults_header,
+    series=(
+        Series("Goodput (Mbytes/s) per fault scenario", "scenario",
+               _versus("goodput_mb", x="scenario")),
+        Series("99th-percentile response time (ms) per fault scenario",
+               "scenario", _versus("p99_ms", x="scenario")),
+    ),
+    config=_faults_config,
+)
 
 
-# -- the rebuild figure ------------------------------------------------------------
+# -- service-rebuild: goodput through drive loss and rebuild -----------------------
 
 #: Storage backends swept by the ``service-rebuild`` figure.
 REBUILD_DEVICES = ("disk", "ssd")
@@ -961,39 +978,8 @@ REBUILD_KILL_TIME = 1.0
 #: window is wide and the foreground-vs-rebuild contention is visible.
 REBUILD_BANDWIDTH = 512 * 1024
 
-
-def service_rebuild_configs(methods=FAULT_METHODS, devices=REBUILD_DEVICES,
-                            load=FAULT_LOAD, **overrides):
-    """The ``service-rebuild`` grid: one point per (device, method).
-
-    Every cell runs ``redundancy="parity"`` with one drive killed at
-    :data:`REBUILD_KILL_TIME` and the spare rebuilding at
-    :data:`REBUILD_BANDWIDTH`; the machine otherwise mirrors the fault
-    figure (32 drives, random layout, near-saturation load).
-    """
-    defaults = dict(
-        n_disks=32,
-        n_requests=32,
-        concurrency=4,
-        layout="random",
-        redundancy="parity",
-        rebuild_bandwidth=float(REBUILD_BANDWIDTH),
-        fault_fail_stop_disk=0,
-        fault_fail_stop_time=REBUILD_KILL_TIME,
-    )
-    defaults.update(overrides)
-    load = defaults.pop("arrival_rate", load)
-    configs = []
-    for device in devices:
-        for method in methods:
-            configs.append(ServiceExperimentConfig(
-                method=method,
-                arrival_rate=load,
-                device=device,
-                label=f"{device}:{method}",
-                **defaults,
-            ))
-    return configs
+#: The phases of the drive-loss timeline.
+REBUILD_PHASES = ("healthy", "degraded", "rebuilt")
 
 
 def _phase_goodputs(result, kill_time):
@@ -1023,11 +1009,57 @@ def _phase_goodputs(result, kill_time):
     return goodputs
 
 
-def service_rebuild_figure(methods=FAULT_METHODS, devices=REBUILD_DEVICES,
-                           load=FAULT_LOAD, trials=1, progress=None,
-                           workers=None, cache=None, json_path=None,
-                           **overrides):
-    """Goodput timeline through kill-drive -> degraded service -> rebuilt.
+def _rebuild_row(summary, variants):
+    config = summary.config
+    phases = [_phase_goodputs(result, config.fault_fail_stop_time)
+              for result in summary.results]
+
+    def aggregate(key, scale=1):
+        return _mean(result.aggregates.get(key, 0) / scale
+                     for result in summary.results)
+
+    return {
+        "device": config.device,
+        "method": config.method,
+        **{f"{phase}_mb": _mean(p[phase] for p in phases)
+           for phase in REBUILD_PHASES},
+        "p99_ms": _percentile(summary, 0.99) * 1e3,
+        "reconstructed_mb": aggregate("reconstructed_bytes", MEGABYTE),
+        "parity_overhead_mb": aggregate("parity_overhead_bytes", MEGABYTE),
+        "rebuild_s": aggregate("rebuild_seconds"),
+        "rebuilt_rows": aggregate("rebuilt_rows"),
+        "failed_mb": 0.0,
+        "trials": len(summary.results),
+    }
+
+
+def _rebuild_header(grid):
+    sample = grid.sample
+    return (f"Declustered parity under fail-stop: drive "
+            f"{sample.fault_fail_stop_disk} of {sample.n_disks} killed at "
+            f"t={sample.fault_fail_stop_time:g}s, rebuild capped at "
+            f"{sample.rebuild_bandwidth / MEGABYTE:.2f} Mbytes/s, "
+            f"{sample.arrival}@{sample.arrival_rate:g} req/s, "
+            f"{sample.n_requests} mixed collectives over {sample.n_files} "
+            f"{sample.layout} files, {sample.n_cps} CPs / {sample.n_iops} "
+            f"IOPs")
+
+
+def _rebuild_config(grid):
+    sample = grid.sample
+    return {"devices": grid.values("device"),
+            "methods": grid.values("method"),
+            "load_req_s": sample.arrival_rate,
+            **_fields(sample, "redundancy", "rebuild_bandwidth"),
+            "fail_stop_disk": sample.fault_fail_stop_disk,
+            "fail_stop_time": sample.fault_fail_stop_time,
+            **_fields(sample, "n_requests", "concurrency", "layout", "n_cps",
+                      "n_iops", "n_disks")}
+
+
+REBUILD = FamilySpec(
+    name="service-rebuild",
+    doc="""Goodput timeline through kill-drive -> degraded service -> rebuilt.
 
     The redundancy question: with declustered parity, losing a drive
     mid-run must cost *throughput*, never *data*.  Each cell kills one of
@@ -1036,129 +1068,35 @@ def service_rebuild_figure(methods=FAULT_METHODS, devices=REBUILD_DEVICES,
     reconstructed from survivors (with the rebuild stream competing for
     the same spindles), and after the hot spare holds every rebuilt row —
     plus the reconstruction volume, the parity write overhead, and the
-    rebuild duration.  Two invariants are asserted per trial: byte
+    rebuild duration.  Two invariants are checked per trial: byte
     conservation, and **zero failed bytes** — under parity the fail-stop
-    that made the fault figure give up data loses none.
-
-    When *json_path* is given the rows are written as the
-    ``docs/data/service_rebuild.json`` artifact quoted by
-    ``docs/redundancy.md``.  Returns ``(summaries, text)``; extra keyword
-    arguments override :class:`ServiceExperimentConfig` fields (tests and
-    the CI smoke step shrink the run).
-    """
-    import json as _json
-
-    from repro.experiments.runner import sweep_parallel
-
-    configs = service_rebuild_configs(methods=methods, devices=devices,
-                                      load=load, **overrides)
-    summaries = sweep_parallel(configs, trials=trials, progress=progress,
-                               workers=workers, cache=cache)
-    rows = []
-    phase_series = {}
-    for summary in summaries:
-        config = summary.config
-        name = "DDIO" if config.method.startswith("disk-directed") else "TC"
-        series = f"{config.device}:{name}"
-        for result in summary.results:
-            if not result.conserves_bytes():
-                raise AssertionError(
-                    f"byte conservation violated in {config.label}: "
-                    f"delivered + failed != requested")
-            if result.failed_bytes or result.lost_bytes:
-                raise AssertionError(
-                    f"parity lost data in {config.label}: "
-                    f"failed={result.failed_bytes} lost={result.lost_bytes}")
-        phases = [_phase_goodputs(result, config.fault_fail_stop_time)
-                  for result in summary.results]
-        row = {
-            "device": config.device,
-            "method": config.method,
-            "healthy_mb": _mean(p["healthy"] for p in phases),
-            "degraded_mb": _mean(p["degraded"] for p in phases),
-            "rebuilt_mb": _mean(p["rebuilt"] for p in phases),
-            "p99_ms": _mean(result.response_percentile(0.99)
-                            for result in summary.results) * 1e3,
-            "reconstructed_mb": _mean(
-                result.aggregates.get("reconstructed_bytes", 0) / MEGABYTE
-                for result in summary.results),
-            "parity_overhead_mb": _mean(
-                result.aggregates.get("parity_overhead_bytes", 0) / MEGABYTE
-                for result in summary.results),
-            "rebuild_s": _mean(result.aggregates.get("rebuild_seconds", 0.0)
-                               for result in summary.results),
-            "rebuilt_rows": _mean(result.aggregates.get("rebuilt_rows", 0)
-                                  for result in summary.results),
-            "failed_mb": 0.0,
-            "trials": len(summary.results),
-        }
-        rows.append(row)
-        for phase in ("healthy", "degraded", "rebuilt"):
-            phase_series.setdefault(series, []).append(
-                (phase, row[f"{phase}_mb"]))
-    sample = configs[0]
-    text = (
-        f"Declustered parity under fail-stop: drive {sample.fault_fail_stop_disk} "
-        f"of {sample.n_disks} killed at t={sample.fault_fail_stop_time:g}s, "
-        f"rebuild capped at "
-        f"{sample.rebuild_bandwidth / MEGABYTE:.2f} Mbytes/s, "
-        f"{sample.arrival}@{sample.arrival_rate:g} req/s, "
-        f"{sample.n_requests} mixed collectives over {sample.n_files} "
-        f"{sample.layout} files, {sample.n_cps} CPs / {sample.n_iops} IOPs"
-        f"\n\n"
-        + format_table(rows, columns=["device", "method", "healthy_mb",
-                                      "degraded_mb", "rebuilt_mb", "p99_ms",
-                                      "reconstructed_mb",
-                                      "parity_overhead_mb", "rebuild_s",
-                                      "rebuilt_rows", "failed_mb", "trials"])
-        + "\n\nGoodput (Mbytes/s) per phase of the drive-loss timeline\n"
-        + format_series_table(phase_series, x_label="phase")
-        + "\n\nfailed_mb is asserted zero: parity degrades goodput, "
-          "never data."
-    )
-    if json_path:
-        artifact = {
-            "figure": "service-rebuild",
-            "regenerate": "PYTHONPATH=src python -m repro.experiments.figures "
-                          "service-rebuild --json docs/data/"
-                          "service_rebuild.json",
-            "config": {
-                "devices": list(devices),
-                "methods": list(methods),
-                "load_req_s": sample.arrival_rate,
-                "redundancy": sample.redundancy,
-                "rebuild_bandwidth": sample.rebuild_bandwidth,
-                "fail_stop_disk": sample.fault_fail_stop_disk,
-                "fail_stop_time": sample.fault_fail_stop_time,
-                "n_requests": sample.n_requests,
-                "concurrency": sample.concurrency,
-                "layout": sample.layout,
-                "n_cps": sample.n_cps,
-                "n_iops": sample.n_iops,
-                "n_disks": sample.n_disks,
-                "trials": trials,
-                "seed": sample.seed,
-            },
-            "rows": [{key: (round(value, 4)
-                            if isinstance(value, float) else value)
-                      for key, value in row.items()} for row in rows],
-        }
-        with open(json_path, "w", encoding="utf-8") as handle:
-            _json.dump(artifact, handle, indent=2)
-            handle.write("\n")
-    return summaries, text
+    that made the fault figure give up data loses none.""",
+    axes=(Axis("devices", REBUILD_DEVICES, "device"), _METHOD_AXIS),
+    defaults=dict(FAULT_WORKLOAD, redundancy="parity",
+                  rebuild_bandwidth=float(REBUILD_BANDWIDTH),
+                  fault_fail_stop_disk=0,
+                  fault_fail_stop_time=REBUILD_KILL_TIME),
+    row=_rebuild_row,
+    header=_rebuild_header,
+    series=(Series(
+        "Goodput (Mbytes/s) per phase of the drive-loss timeline", "phase",
+        lambda row: [(phase, row[f"{phase}_mb"])
+                     for phase in REBUILD_PHASES]),),
+    series_name=lambda row, grid: f"{row['device']}:"
+                                  f"{_method_series(row, grid)}",
+    checks=(_conserves, _loses_nothing),
+    footnote="failed_mb is asserted zero: parity degrades goodput, never "
+             "data.",
+    config=_rebuild_config,
+    artifact="docs/data/service_rebuild.json",
+)
 
 
-# -- the admission figure ----------------------------------------------------------
+# -- service-admission: which discipline protects the tail -------------------------
 
 #: Offered loads for the admission figure (requests/second): saturation and
 #: the 4x-saturation overload point where FIFO's tail collapses.
 ADMISSION_LOADS = (8.0, 32.0)
-
-#: The admission disciplines compared, in sweep order.  ``controller`` is
-#: FIFO ordering plus the adaptive-K SLO controller with load shedding —
-#: the row that must hold the p99 target no static K can.
-ADMISSION_ROWS = ("fifo", "sjf", "priority", "edf", "controller")
 
 #: The controller row's SLO: p99 response-time target, seconds.  At 4x
 #: saturation the FIFO/static-K p99 sits well above this (the point of the
@@ -1173,58 +1111,79 @@ ADMISSION_CONTROL_INTERVAL = 0.25
 #: already passed at grant time.
 ADMISSION_DEADLINE_SLACK = 2.0
 
-
-def service_admission_configs(loads=ADMISSION_LOADS, rows=ADMISSION_ROWS,
-                              **overrides):
-    """The config grid of the admission figure: one point per (load, row).
-
-    Every row runs the *same* workload — the overload machine (Pareto sizes,
-    8-byte record mix, 32 disks, K=4) with two priority classes and ~2 s
-    deadlines stamped on every session — so the only difference between rows
-    is the admission discipline.  Disciplines that ignore a stamp (FIFO/SJF
-    ignore both, priority ignores deadlines, EDF ignores classes) still run
-    the identical request stream, keeping every column comparable.
-    """
-    defaults = dict(
-        size_distribution="pareto",
-        size_alpha=1.5,
-        record_sizes=(8, 8192),
-        n_disks=32,
-        n_requests=64,
-        concurrency=4,
-        layout="random",
-        priority_levels=2,
-        deadline_slack=ADMISSION_DEADLINE_SLACK,
-    )
-    defaults.update(overrides)
-    target = defaults.pop("controller_target_p99", ADMISSION_TARGET_P99)
-    shed_age = defaults.pop("controller_shed_age", ADMISSION_SHED_AGE)
-    interval = defaults.pop("controller_interval", ADMISSION_CONTROL_INTERVAL)
-    configs = []
-    for load in loads:
-        for row in rows:
-            if row == "controller":
-                extra = dict(admission_policy="fifo",
-                             controller_target_p99=target,
-                             controller_interval=interval,
-                             controller_shed=True,
-                             controller_shed_age=shed_age)
-            else:
-                extra = dict(admission_policy=row)
-            configs.append(ServiceExperimentConfig(
-                method="disk-directed",
-                arrival_rate=load,
-                label=f"{row}@{load:g}",
-                **extra,
-                **defaults,
-            ))
-    return configs
+#: The admission disciplines compared, in sweep order.  ``controller`` is
+#: FIFO ordering plus the adaptive-K SLO controller with load shedding —
+#: the row that must hold the p99 target no static K can.
+ADMISSION_ROWS = tuple((policy, {"admission_policy": policy})
+                       for policy in ("fifo", "sjf", "priority", "edf")) + (
+    ("controller", {"admission_policy": "fifo",
+                    "controller_target_p99": ADMISSION_TARGET_P99,
+                    "controller_interval": ADMISSION_CONTROL_INTERVAL,
+                    "controller_shed": True,
+                    "controller_shed_age": ADMISSION_SHED_AGE}),
+)
 
 
-def service_admission_figure(loads=ADMISSION_LOADS, rows=ADMISSION_ROWS,
-                             trials=1, progress=None, workers=None,
-                             cache=None, json_path=None, **overrides):
-    """Which admission discipline protects the tail at 4x saturation?
+def _admission_row(summary, variants):
+    config = summary.config
+    target = config.controller_target_p99
+    p99 = _percentile(summary, 0.99)
+    row = {
+        "policy": "controller" if target > 0 else config.admission_policy,
+        "load_req_s": config.arrival_rate,
+        "goodput_mb": _avg(summary, "goodput_mb"),
+        "p50_s": _percentile(summary, 0.50),
+        "p99_s": p99,
+        "urgent_p99_s": _mean(_class_p99(result, "0")
+                              for result in summary.results),
+        "dropped": _avg(summary, "dropped_requests"),
+        "shed": _avg(summary, "shed_requests"),
+        "shed_mb": _avg(summary, "shed_bytes", MEGABYTE),
+        "trials": len(summary.results),
+    }
+    if target > 0:
+        row["slo_target_s"] = target
+        row["slo_met"] = p99 <= target
+    return row
+
+
+def _class_p99(result, class_key):
+    """p99 of one priority class's response sketch (0.0 when absent)."""
+    data = result.class_sketches.get(class_key)
+    if not data:
+        return 0.0
+    return QuantileSketch.from_dict(data).quantile(0.99)
+
+
+def _admission_header(grid):
+    sample = grid.sample
+    return (f"Admission control under overload (disk-directed I/O): "
+            f"{sample.arrival} arrivals to "
+            f"{max(grid.values('arrival_rate')):g} req/s, "
+            f"{sample.size_distribution} file sizes (mean "
+            f"{sample.file_size // KILOBYTE} KB, alpha={sample.size_alpha:g}), "
+            f"{sample.n_requests} sessions, {sample.priority_levels} priority "
+            f"classes, ~{sample.deadline_slack:g} s deadlines, "
+            f"K={sample.concurrency} static, {_machine(sample)}")
+
+
+def _admission_config(grid):
+    controlled = [config for config in grid.configs
+                  if config.controller_target_p99 > 0]
+    return {"arrival": grid.sample.arrival,
+            "loads": grid.values("arrival_rate"),
+            **_fields(grid.sample, "n_requests", "concurrency",
+                      "size_distribution", "size_alpha", "file_size",
+                      "record_sizes", "layout", "n_cps", "n_iops", "n_disks",
+                      "priority_levels", "deadline_slack"),
+            **_fields((controlled or grid.configs)[0],
+                      "controller_target_p99", "controller_shed_age",
+                      "controller_interval")}
+
+
+ADMISSION = FamilySpec(
+    name="service-admission",
+    doc="""Which admission discipline protects the tail at 4x saturation?
 
     The overload figure shows FIFO admission destroying p99 under a Pareto
     stream: one giant session at the head of the K-slot queue stalls every
@@ -1239,127 +1198,32 @@ def service_admission_figure(loads=ADMISSION_LOADS, rows=ADMISSION_ROWS,
     shedding; ``slo_met`` records whether the measured p99 held the target
     that the FIFO/static-K row demonstrably misses at 4x saturation.
 
-    Byte conservation (``moved + failed + shed == requested``) is asserted
-    for every trial.  When *json_path* is given the rows are also written
-    as the ``docs/data/service_admission.json`` artifact quoted by the
-    docs.  Returns ``(summaries, text)``; extra keyword arguments override
-    :class:`ServiceExperimentConfig` fields (tests shrink the run).
-    """
-    import json as _json
-
-    from repro.experiments.runner import sweep_parallel
-
-    configs = service_admission_configs(loads=loads, rows=rows, **overrides)
-    summaries = sweep_parallel(configs, trials=trials, progress=progress,
-                               workers=workers, cache=cache)
-    p99_series = {}
-    goodput_series = {}
-    table_rows = []
-    for summary in summaries:
-        config = summary.config
-        row = config.label.split("@", 1)[0]
-        load = config.arrival_rate
-        for result in summary.results:
-            if not result.conserves_bytes():
-                raise AssertionError(
-                    f"byte conservation violated in {config.label}: "
-                    f"moved + failed + shed != requested")
-        goodput = _mean(result.goodput_mb for result in summary.results)
-        p50 = _mean(result.response_percentile(0.50)
-                    for result in summary.results)
-        p99 = _mean(result.response_percentile(0.99)
-                    for result in summary.results)
-        urgent_p99 = _mean(_class_p99(result, "0")
-                           for result in summary.results)
-        target = config.controller_target_p99
-        entry = {
-            "policy": row,
-            "load_req_s": load,
-            "goodput_mb": goodput,
-            "p50_s": p50,
-            "p99_s": p99,
-            "urgent_p99_s": urgent_p99,
-            "dropped": _mean(result.dropped_requests
-                             for result in summary.results),
-            "shed": _mean(result.shed_requests
-                          for result in summary.results),
-            "shed_mb": _mean(result.shed_bytes / MEGABYTE
-                             for result in summary.results),
-            "trials": len(summary.results),
-        }
-        if target > 0:
-            entry["slo_target_s"] = target
-            entry["slo_met"] = p99 <= target
-        p99_series.setdefault(row, []).append((load, p99))
-        goodput_series.setdefault(row, []).append((load, goodput))
-        table_rows.append(entry)
-    sample = configs[0]
-    text = (
-        f"Admission control under overload (disk-directed I/O): "
-        f"{sample.arrival} arrivals to {max(loads):g} req/s, "
-        f"{sample.size_distribution} file sizes (mean "
-        f"{sample.file_size // KILOBYTE} KB, alpha={sample.size_alpha:g}), "
-        f"{sample.n_requests} sessions, {sample.priority_levels} priority "
-        f"classes, ~{sample.deadline_slack:g} s deadlines, K={sample.concurrency} "
-        f"static, {sample.n_cps} CPs / {sample.n_iops} IOPs / "
-        f"{sample.n_disks} disks\n\n"
-        + format_table(table_rows,
-                       columns=["policy", "load_req_s", "goodput_mb", "p50_s",
-                                "p99_s", "urgent_p99_s", "dropped", "shed",
-                                "shed_mb", "trials"])
-        + "\n\n99th-percentile response time (s) vs offered load (req/s)\n"
-        + format_series_table(p99_series, x_label="load")
-        + "\n\nGoodput (Mbytes/s) vs offered load (req/s)\n"
-        + format_series_table(goodput_series, x_label="load")
-    )
-    if json_path:
-        artifact = {
-            "figure": "service-admission",
-            "regenerate": "PYTHONPATH=src python -m repro.experiments.figures "
-                          "service-admission --json docs/data/"
-                          "service_admission.json",
-            "config": {
-                "arrival": sample.arrival,
-                "loads": list(loads),
-                "n_requests": sample.n_requests,
-                "concurrency": sample.concurrency,
-                "size_distribution": sample.size_distribution,
-                "size_alpha": sample.size_alpha,
-                "file_size": sample.file_size,
-                "record_sizes": list(sample.record_sizes),
-                "layout": sample.layout,
-                "n_cps": sample.n_cps,
-                "n_iops": sample.n_iops,
-                "n_disks": sample.n_disks,
-                "priority_levels": sample.priority_levels,
-                "deadline_slack": sample.deadline_slack,
-                "controller_target_p99": ADMISSION_TARGET_P99,
-                "controller_shed_age": ADMISSION_SHED_AGE,
-                "controller_interval": ADMISSION_CONTROL_INTERVAL,
-                "trials": trials,
-                "seed": sample.seed,
-            },
-            "rows": [{key: (round(value, 4)
-                            if isinstance(value, float) else value)
-                      for key, value in row.items()} for row in table_rows],
-        }
-        with open(json_path, "w", encoding="utf-8") as handle:
-            _json.dump(artifact, handle, indent=2)
-            handle.write("\n")
-    return summaries, text
+    Every row runs the *same* workload — the overload machine with two
+    priority classes and ~2 s deadlines stamped on every session — so the
+    discipline is the only difference between rows: disciplines that ignore
+    a stamp still run the identical request stream.""",
+    axes=(Axis("loads", ADMISSION_LOADS, "arrival_rate"),
+          Axis("rows", ADMISSION_ROWS)),
+    defaults=dict(OVERLOAD_WORKLOAD, method="disk-directed", n_requests=64,
+                  priority_levels=2,
+                  deadline_slack=ADMISSION_DEADLINE_SLACK),
+    row=_admission_row,
+    columns=("policy", "load_req_s", "goodput_mb", "p50_s", "p99_s",
+             "urgent_p99_s", "dropped", "shed", "shed_mb", "trials"),
+    header=_admission_header,
+    series=(
+        Series("99th-percentile response time (s) vs offered load (req/s)",
+               "load", _versus("p99_s")),
+        Series("Goodput (Mbytes/s) vs offered load (req/s)", "load",
+               _versus("goodput_mb")),
+    ),
+    series_name=lambda row, grid: row["policy"],
+    config=_admission_config,
+    artifact="docs/data/service_admission.json",
+)
 
 
-def _class_p99(result, class_key):
-    """p99 of one priority class's response sketch (0.0 when absent)."""
-    from repro.workload.aggregate import QuantileSketch
-
-    data = result.class_sketches.get(class_key)
-    if not data:
-        return 0.0
-    return QuantileSketch.from_dict(data).quantile(0.99)
-
-
-# -- the flash figure ------------------------------------------------------------
+# -- ddio-flash: does the advantage survive when seeks are free? -------------------
 
 #: Storage backends compared by the ``ddio-flash`` figure.
 FLASH_DEVICES = ("disk", "ssd")
@@ -1411,28 +1275,77 @@ def flash_ftl_probe(policies=("greedy", "cost-benefit"),
     return rows
 
 
-def service_flash_configs(loads=DEFAULT_LOADS, methods=SERVICE_METHODS,
-                          devices=FLASH_DEVICES, **overrides):
-    """The ``ddio-flash`` grid: one point per (device, method, load)."""
-    configs = []
-    for device in devices:
-        for load in loads:
-            for method in methods:
-                configs.append(ServiceExperimentConfig(
-                    method=method,
-                    arrival_rate=load,
-                    device=device,
-                    label=f"{device}:{method}@{load:g}",
-                    **overrides,
-                ))
-    return configs
+def _flash_row(summary, variants):
+    config = summary.config
+    return {
+        "device": config.device,
+        "method": config.method,
+        "load_req_s": config.arrival_rate,
+        "goodput_mb": _avg(summary, "goodput_mb"),
+        "p50_s": _percentile(summary, 0.50),
+        "p99_s": _percentile(summary, 0.99),
+        "trials": len(summary.results),
+    }
 
 
-def service_flash_figure(loads=DEFAULT_LOADS, methods=SERVICE_METHODS,
-                         devices=FLASH_DEVICES, trials=1, progress=None,
-                         workers=None, cache=None, json_path=None,
-                         **overrides):
-    """Does disk-directed I/O's advantage survive when seeks are free?
+def _flash_ratios(rows, grid):
+    """The DDIO:TC goodput ratio per (device, load): the figure's answer.
+
+    Cells are looked up by method name; a (device, load) missing either
+    method has no ratio row.
+    """
+    goodput = {(row["device"], row["method"], row["load_req_s"]):
+               row["goodput_mb"] for row in rows}
+    ratios = []
+    for device in grid.values("device"):
+        for load in grid.values("arrival_rate"):
+            ddio = goodput.get((device, "disk-directed", load))
+            tc = goodput.get((device, "traditional", load))
+            if ddio is None or tc is None:
+                continue
+            ratios.append({
+                "device": device,
+                "load_req_s": load,
+                "ddio_vs_tc": ddio / tc if tc else float("inf"),
+            })
+    return [("ratios", "DDIO:TC throughput ratio per device (does the "
+             "advantage survive without seeks?)", ratios,
+             ("device", "load_req_s", "ddio_vs_tc"))]
+
+
+_DISK_SPEC = MachineConfig().disk_spec
+_SSD_SPEC = matched_ssd_spec(_DISK_SPEC)
+
+
+def _flash_header(grid):
+    sample = grid.sample
+    return (f"Disk-directed I/O vs traditional caching, disk vs flash at "
+            f"equal sequential bandwidth "
+            f"({_DISK_SPEC.sustained_transfer_rate / MEGABYTE:.2f} Mbytes/s "
+            f"per device): {sample.arrival} arrivals, {sample.n_requests} "
+            f"mixed collectives over {sample.n_files} files, "
+            f"K={sample.concurrency}, {sample.n_cps} CPs / {sample.n_iops} "
+            f"IOPs / {sample.n_disks} drives")
+
+
+def _flash_config(grid):
+    return {"arrival": grid.sample.arrival,
+            "loads": grid.values("arrival_rate"),
+            "devices": grid.values("device"),
+            "methods": grid.values("method"),
+            **_fields(grid.sample, "n_requests", "concurrency", "file_size",
+                      "layout", "n_cps", "n_iops", "n_disks"),
+            "disk_sequential_mb": round(
+                _DISK_SPEC.sustained_transfer_rate / MEGABYTE, 4),
+            "ssd_sequential_mb": round(
+                _SSD_SPEC.sequential_read_rate / MEGABYTE, 4),
+            "ssd_channels": _SSD_SPEC.channels,
+            "ssd_ncq_depth": _SSD_SPEC.ncq_depth}
+
+
+FLASH = FamilySpec(
+    name="ddio-flash",
+    doc="""Does disk-directed I/O's advantage survive when seeks are free?
 
     The paper's claim rests on positioning costs: the IOP wins by scheduling
     around them.  This figure re-asks the question on a flash SSD whose
@@ -1441,128 +1354,24 @@ def service_flash_figure(loads=DEFAULT_LOADS, methods=SERVICE_METHODS,
     reads/programs — no seeks, no rotation, parallelism inside the device.
     The service workload runs identically on both backends, DDIO vs
     traditional caching at each offered load; the DDIO:TC throughput ratio
-    per device is the headline number.
+    per device is the headline number.  The artifact adds a small
+    deterministic FTL probe reporting GC write amplification per policy
+    (:func:`flash_ftl_probe`).""",
+    axes=(Axis("devices", FLASH_DEVICES, "device"), _LOAD_AXIS,
+          _METHOD_AXIS),
+    row=_flash_row,
+    header=_flash_header,
+    tables=_flash_ratios,
+    series=(Series("Goodput (Mbytes/s) vs offered load (req/s)", "load",
+                   _versus("goodput_mb")),),
+    series_name=lambda row, grid: f"{row['device']}:{row['method']}",
+    config=_flash_config,
+    extras=lambda: {"ftl_probe": flash_ftl_probe()},
+    artifact="docs/data/service_flash.json",
+)
 
-    Byte conservation is asserted for every trial.  When *json_path* is
-    given the rows — plus a small deterministic FTL probe reporting GC
-    write amplification per policy (:func:`flash_ftl_probe`) — are written
-    as the ``docs/data/service_flash.json`` artifact quoted by
-    ``docs/flash.md``.  Returns ``(summaries, text)``; extra keyword
-    arguments override :class:`ServiceExperimentConfig` fields (tests and
-    the CI smoke step shrink the run).
-    """
-    import json as _json
 
-    from repro.disk.flash import matched_ssd_spec
-    from repro.experiments.runner import sweep_parallel
-    from repro.machine import MachineConfig
-
-    configs = service_flash_configs(loads=loads, methods=methods,
-                                    devices=devices, **overrides)
-    summaries = sweep_parallel(configs, trials=trials, progress=progress,
-                               workers=workers, cache=cache)
-    table_rows = []
-    throughput_series = {}
-    for summary in summaries:
-        config = summary.config
-        for result in summary.results:
-            if not result.conserves_bytes():
-                raise AssertionError(
-                    f"byte conservation violated in {config.label}: "
-                    f"moved + failed + shed != requested")
-        goodput = _mean(result.goodput_mb for result in summary.results)
-        entry = {
-            "device": config.device,
-            "method": config.method,
-            "load_req_s": config.arrival_rate,
-            "goodput_mb": goodput,
-            "p50_s": _mean(result.response_percentile(0.50)
-                           for result in summary.results),
-            "p99_s": _mean(result.response_percentile(0.99)
-                           for result in summary.results),
-            "trials": len(summary.results),
-        }
-        table_rows.append(entry)
-        series = f"{config.device}:{config.method}"
-        throughput_series.setdefault(series, []).append(
-            (config.arrival_rate, goodput))
-
-    # The DDIO advantage per (device, load): the figure's answer.
-    ratio_rows = []
-    by_cell = {(row["device"], row["method"], row["load_req_s"]):
-               row["goodput_mb"] for row in table_rows}
-    for device in devices:
-        for load in loads:
-            ddio = by_cell.get((device, methods[0], load))
-            tc = by_cell.get((device, methods[1], load))
-            if ddio is None or tc is None:
-                continue
-            ratio_rows.append({
-                "device": device,
-                "load_req_s": load,
-                "ddio_vs_tc": ddio / tc if tc else float("inf"),
-            })
-
-    sample = configs[0]
-    disk_spec = MachineConfig().disk_spec
-    ssd_spec = matched_ssd_spec(disk_spec)
-    text = (
-        f"Disk-directed I/O vs traditional caching, disk vs flash at equal "
-        f"sequential bandwidth "
-        f"({disk_spec.sustained_transfer_rate / MEGABYTE:.2f} Mbytes/s per "
-        f"device): {sample.arrival} arrivals, {sample.n_requests} mixed "
-        f"collectives over {sample.n_files} files, K={sample.concurrency}, "
-        f"{sample.n_cps} CPs / {sample.n_iops} IOPs / {sample.n_disks} "
-        f"drives\n\n"
-        + format_table(table_rows,
-                       columns=["device", "method", "load_req_s",
-                                "goodput_mb", "p50_s", "p99_s", "trials"])
-        + "\n\nDDIO:TC throughput ratio per device "
-          "(does the advantage survive without seeks?)\n"
-        + format_table(ratio_rows,
-                       columns=["device", "load_req_s", "ddio_vs_tc"])
-        + "\n\nGoodput (Mbytes/s) vs offered load (req/s)\n"
-        + format_series_table(throughput_series, x_label="load")
-    )
-    if json_path:
-        artifact = {
-            "figure": "ddio-flash",
-            "regenerate": "PYTHONPATH=src python -m repro.experiments.figures "
-                          "ddio-flash --json docs/data/service_flash.json",
-            "config": {
-                "arrival": sample.arrival,
-                "loads": list(loads),
-                "devices": list(devices),
-                "methods": list(methods),
-                "n_requests": sample.n_requests,
-                "concurrency": sample.concurrency,
-                "file_size": sample.file_size,
-                "layout": sample.layout,
-                "n_cps": sample.n_cps,
-                "n_iops": sample.n_iops,
-                "n_disks": sample.n_disks,
-                "disk_sequential_mb": round(
-                    disk_spec.sustained_transfer_rate / MEGABYTE, 4),
-                "ssd_sequential_mb": round(
-                    ssd_spec.sequential_read_rate / MEGABYTE, 4),
-                "ssd_channels": ssd_spec.channels,
-                "ssd_ncq_depth": ssd_spec.ncq_depth,
-                "trials": trials,
-                "seed": sample.seed,
-            },
-            "rows": [{key: (round(value, 4)
-                            if isinstance(value, float) else value)
-                      for key, value in row.items()} for row in table_rows],
-            "ratios": [{key: (round(value, 4)
-                              if isinstance(value, float) else value)
-                        for key, value in row.items()}
-                       for row in ratio_rows],
-            "ftl_probe": [{key: (round(value, 4)
-                                 if isinstance(value, float) else value)
-                           for key, value in row.items()}
-                          for row in flash_ftl_probe()],
-        }
-        with open(json_path, "w", encoding="utf-8") as handle:
-            _json.dump(artifact, handle, indent=2)
-            handle.write("\n")
-    return summaries, text
+#: Every service figure, by its ``ddio-figures`` name.
+FAMILIES = {spec.name: spec for spec in (SERVICE, SCHEDULER, OVERLOAD,
+                                         MILLIONS, FAULTS, REBUILD,
+                                         ADMISSION, FLASH)}

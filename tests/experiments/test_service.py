@@ -5,15 +5,16 @@ import dataclasses
 import pytest
 
 from repro.experiments import (
+    FAMILIES,
     ResultCache,
     ServiceExperimentConfig,
+    run_figure,
     run_service_experiment,
     run_trial,
     sweep,
     sweep_parallel,
     trial_cache_key,
 )
-from repro.experiments.service import service_configs, service_figure
 from repro.workload import ServiceResult
 
 KILOBYTE = 1024
@@ -109,14 +110,14 @@ class TestServiceSweeps:
 
 class TestServiceFigure:
     def test_config_grid_covers_loads_and_methods(self):
-        configs = service_configs(loads=(5.0, 10.0),
-                                  methods=("disk-directed", "traditional"))
+        configs = FAMILIES["service"].grid(
+            loads=(5.0, 10.0), methods=("disk-directed", "traditional")).configs
         assert len(configs) == 4
         assert {config.arrival_rate for config in configs} == {5.0, 10.0}
 
     def test_figure_text_and_summaries(self):
-        summaries, text = service_figure(
-            loads=(100.0, 300.0), trials=1, n_cps=2, n_iops=1, n_disks=1,
+        summaries, text = run_figure(
+            "service", loads=(100.0, 300.0), trials=1, n_cps=2, n_iops=1, n_disks=1,
             n_requests=4, n_files=2, file_size=64 * KILOBYTE,
             layout="contiguous", concurrency=2)
         assert len(summaries) == 4
@@ -127,8 +128,8 @@ class TestServiceFigure:
     def test_summary_rows_are_duck_compatible(self):
         # TrialSummary.as_row works on service configs (progress printers and
         # report tables rely on these fields).
-        summaries, _text = service_figure(
-            loads=(200.0,), methods=("disk-directed",), trials=1, n_cps=2,
+        summaries, _text = run_figure(
+            "service", loads=(200.0,), methods=("disk-directed",), trials=1, n_cps=2,
             n_iops=1, n_disks=1, n_requests=3, n_files=1,
             file_size=64 * KILOBYTE, layout="contiguous")
         row = summaries[0].as_row()
@@ -206,10 +207,8 @@ class TestOverloadFamily:
                 results_as_dicts(parallel_summary)
 
     def test_overload_figure_smoke(self):
-        from repro.experiments.service import service_overload_figure
-
-        summaries, text = service_overload_figure(
-            loads=(100.0, 400.0), trials=1, n_cps=2, n_iops=1, n_disks=1,
+        summaries, text = run_figure(
+            "service-overload", loads=(100.0, 400.0), trials=1, n_cps=2, n_iops=1, n_disks=1,
             n_requests=4, n_files=2, file_size=64 * KILOBYTE,
             layout="contiguous", concurrency=2, seed=7)
         assert len(summaries) == 4  # 2 loads x 2 methods
@@ -221,10 +220,8 @@ class TestOverloadFamily:
     def test_overload_response_time_grows_with_load(self):
         # Open loop far beyond saturation: mean response time at the highest
         # load must exceed the lightest load's (the asymptote, test-sized).
-        from repro.experiments.service import service_overload_figure
-
-        summaries, _text = service_overload_figure(
-            loads=(25.0, 800.0), methods=("traditional",), trials=1,
+        summaries, _text = run_figure(
+            "service-overload", loads=(25.0, 800.0), methods=("traditional",), trials=1,
             n_cps=2, n_iops=1, n_disks=1, n_requests=8, n_files=2,
             file_size=64 * KILOBYTE, layout="contiguous", concurrency=2,
             seed=7)
@@ -272,10 +269,8 @@ class TestSchedulerComparison:
         assert cscan.response_percentile(0.99) < fcfs.response_percentile(0.99)
 
     def test_scheduler_figure_smoke(self):
-        from repro.experiments.service import service_scheduler_figure
-
-        summaries, text = service_scheduler_figure(
-            loads=(100.0,), concurrencies=(1, 2),
+        summaries, text = run_figure(
+            "service-sched", loads=(100.0,), concurrencies=(1, 2),
             schedulers=("fcfs", "shared-cscan"), trials=1,
             n_cps=2, n_iops=1, n_disks=1, n_requests=4, n_files=2,
             file_size=64 * KILOBYTE, layout="contiguous", seed=7)
@@ -284,10 +279,8 @@ class TestSchedulerComparison:
         assert "99th-percentile" in text
 
     def test_scheduler_figure_sweeps_policies_and_pools(self):
-        from repro.experiments.service import service_scheduler_figure
-
-        summaries, text = service_scheduler_figure(
-            loads=(100.0,), concurrencies=(2,),
+        summaries, text = run_figure(
+            "service-sched", loads=(100.0,), concurrencies=(2,),
             schedulers=("fcfs", "shared-sstf", "shared-cscan"),
             pool_sizes=(1, 2), trials=1,
             n_cps=2, n_iops=1, n_disks=1, n_requests=4, n_files=2,

@@ -3,7 +3,9 @@
 import json
 
 from repro.experiments import (
+    FAMILIES,
     ServiceExperimentConfig,
+    run_figure,
     run_service_experiment,
     trial_cache_key,
 )
@@ -11,8 +13,6 @@ from repro.experiments.service import (
     ADMISSION_LOADS,
     ADMISSION_ROWS,
     ADMISSION_TARGET_P99,
-    service_admission_configs,
-    service_admission_figure,
 )
 from repro.workload import ServiceResult
 
@@ -90,12 +90,12 @@ class TestAdmissionTrials:
 
 class TestAdmissionFigure:
     def test_config_grid_covers_loads_and_rows(self):
-        configs = service_admission_configs()
-        assert len(configs) == len(ADMISSION_LOADS) * len(ADMISSION_ROWS)
-        labels = {config.label for config in configs}
-        assert "fifo@32" in labels and "controller@8" in labels
-        controller = next(config for config in configs
-                          if config.label == "controller@32")
+        grid = FAMILIES["service-admission"].grid()
+        assert len(grid.configs) == len(ADMISSION_LOADS) * len(ADMISSION_ROWS)
+        points = {(variants["rows"], config.arrival_rate): config
+                  for config, variants in zip(grid.configs, grid.variants)}
+        assert ("fifo", 32.0) in points and ("controller", 8.0) in points
+        controller = points[("controller", 32.0)]
         assert controller.controller_target_p99 == ADMISSION_TARGET_P99
         assert controller.controller_shed
         assert controller.admission_policy == "fifo"
@@ -103,18 +103,19 @@ class TestAdmissionFigure:
     def test_grid_rows_share_one_workload(self):
         # Every row must run the identical request stream — the discipline
         # is the only axis — so the stamps are on for FIFO too.
-        configs = service_admission_configs()
-        workloads = {config.label.split("@")[0]:
-                     config.workload() for config in configs
-                     if config.label.endswith("@32")}
+        grid = FAMILIES["service-admission"].grid()
+        workloads = {variants["rows"]: config.workload()
+                     for config, variants in zip(grid.configs, grid.variants)
+                     if config.arrival_rate == 32.0}
         reference = workloads.pop("fifo")
         assert all(workload == reference
                    for workload in workloads.values())
 
     def test_figure_smoke_with_artifact(self, tmp_path):
         json_path = tmp_path / "service_admission.json"
-        summaries, text = service_admission_figure(
-            loads=(200.0,), trials=1, json_path=str(json_path), **TINY)
+        summaries, text = run_figure(
+            "service-admission", loads=(200.0,), trials=1,
+            json_path=str(json_path), **TINY)
         assert len(summaries) == len(ADMISSION_ROWS)
         assert "Admission control under overload" in text
         assert "urgent_p99_s" in text and "goodput_mb" in text
@@ -124,7 +125,7 @@ class TestAdmissionFigure:
             artifact["regenerate"]
         assert len(artifact["rows"]) == len(ADMISSION_ROWS)
         by_policy = {row["policy"]: row for row in artifact["rows"]}
-        assert set(by_policy) == set(ADMISSION_ROWS)
+        assert set(by_policy) == {name for name, _fields in ADMISSION_ROWS}
         controller_row = by_policy["controller"]
         assert controller_row["slo_target_s"] == ADMISSION_TARGET_P99
         assert isinstance(controller_row["slo_met"], bool)
@@ -133,8 +134,9 @@ class TestAdmissionFigure:
             assert row["trials"] == 1
 
     def test_figure_runs_without_artifact(self):
-        summaries, text = service_admission_figure(
-            loads=(200.0,), rows=("fifo", "edf"), trials=1, **TINY)
+        rows = tuple(row for row in ADMISSION_ROWS if row[0] in ("fifo", "edf"))
+        summaries, text = run_figure(
+            "service-admission", loads=(200.0,), rows=rows, trials=1, **TINY)
         assert len(summaries) == 2
         assert "edf" in text
 

@@ -5,15 +5,13 @@ import dataclasses
 import pytest
 
 from repro.experiments import (
+    FAMILIES,
     ServiceExperimentConfig,
+    run_figure,
     run_service_experiment,
     trial_cache_key,
 )
-from repro.experiments.service import (
-    FAULT_SCENARIOS,
-    service_faults_configs,
-    service_faults_figure,
-)
+from repro.experiments.service import FAULT_SCENARIOS
 from repro.workload import ServiceResult
 
 KILOBYTE = 1024
@@ -102,20 +100,22 @@ class TestFaultedTrials:
 
 class TestFaultFigure:
     def test_config_grid_covers_scenarios_and_methods(self):
-        configs = service_faults_configs()
-        assert len(configs) == len(FAULT_SCENARIOS) * 2
-        labels = {config.label for config in configs}
-        assert "healthy:disk-directed" in labels
-        assert "sick-disk:traditional" in labels
+        grid = FAMILIES["service-faults"].grid()
+        assert len(grid.configs) == len(FAULT_SCENARIOS) * 2
+        points = {(variants["scenarios"], config.method)
+                  for config, variants in zip(grid.configs, grid.variants)}
+        assert ("healthy", "disk-directed") in points
+        assert ("sick-disk", "traditional") in points
 
     def test_grid_defaults_to_32_disks(self):
-        configs = service_faults_configs()
+        configs = FAMILIES["service-faults"].grid().configs
         assert all(config.n_disks == 32 for config in configs)
 
     def test_figure_smoke(self):
         scenarios = (("healthy", {}),
                      ("transient", {"fault_transient_rate": 0.3}))
-        summaries, text = service_faults_figure(scenarios=scenarios, **TINY)
+        summaries, text = run_figure("service-faults", scenarios=scenarios,
+                                     **TINY)
         assert len(summaries) == 4
         assert "Fault injection" in text
         assert "goodput_mb" in text
@@ -124,9 +124,8 @@ class TestFaultFigure:
     def test_figure_asserts_conservation(self):
         scenarios = (("fail-stop", {"fault_fail_stop_disk": 0,
                                     "fault_fail_stop_time": 0.0}),)
-        summaries, text = service_faults_figure(scenarios=scenarios,
-                                                methods=("disk-directed",),
-                                                **TINY)
+        summaries, text = run_figure("service-faults", scenarios=scenarios,
+                                     methods=("disk-directed",), **TINY)
         assert len(summaries) == 1
         row_line = next(line for line in text.splitlines()
                         if line.startswith("fail-stop"))

@@ -3,18 +3,15 @@
 import json
 
 from repro.experiments import (
+    FAMILIES,
     ExperimentConfig,
     ServiceExperimentConfig,
     run_experiment,
+    run_figure,
     run_service_experiment,
     trial_cache_key,
 )
-from repro.experiments.service import (
-    FLASH_DEVICES,
-    flash_ftl_probe,
-    service_flash_configs,
-    service_flash_figure,
-)
+from repro.experiments.service import FLASH_DEVICES, flash_ftl_probe
 from repro.workload import ServiceResult
 
 KILOBYTE = 1024
@@ -88,17 +85,18 @@ class TestFtlProbe:
 
 class TestFlashFigure:
     def test_config_grid_covers_the_device_axis(self):
-        configs = service_flash_configs(loads=(4.0, 8.0))
+        configs = FAMILIES["ddio-flash"].grid(loads=(4.0, 8.0)).configs
         assert len(configs) == 2 * 2 * 2   # devices x loads x methods
-        labels = {config.label for config in configs}
-        assert "disk:disk-directed@4" in labels
-        assert "ssd:traditional@8" in labels
+        points = {(c.device, c.method, c.arrival_rate) for c in configs}
+        assert ("disk", "disk-directed", 4.0) in points
+        assert ("ssd", "traditional", 8.0) in points
         assert {config.device for config in configs} == set(FLASH_DEVICES)
 
     def test_figure_smoke_with_artifact(self, tmp_path):
         json_path = tmp_path / "service_flash.json"
-        summaries, text = service_flash_figure(
-            loads=(50.0,), trials=1, json_path=str(json_path), **TINY)
+        summaries, text = run_figure(
+            "ddio-flash", loads=(50.0,), trials=1, json_path=str(json_path),
+            **TINY)
         assert len(summaries) == 4        # 2 devices x 1 load x 2 methods
         assert "equal" in text and "ddio_vs_tc" in text
         artifact = json.loads(json_path.read_text())
@@ -117,15 +115,10 @@ class TestFlashFigure:
             == ["greedy", "cost-benefit"]
 
     def test_figure_runs_without_artifact(self):
-        summaries, text = service_flash_figure(
-            loads=(50.0,), devices=("ssd",), trials=1, **TINY)
+        summaries, text = run_figure(
+            "ddio-flash", loads=(50.0,), devices=("ssd",), trials=1, **TINY)
         assert len(summaries) == 2
-        assert "ssd:disk-directed@50" in {s.config.label for s in summaries}
-
-    def test_figure_is_registered_in_the_cli(self):
-        from repro.experiments.figures import FIGURES
-        assert "ddio-flash" in FIGURES
-        assert FIGURES["ddio-flash"] is service_flash_figure
+        assert {s.config.device for s in summaries} == {"ssd"}
 
 
 class TestPublishedArtifact:

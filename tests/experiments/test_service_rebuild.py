@@ -6,14 +6,11 @@ import json
 import pytest
 
 from repro.experiments import (
+    FAMILIES,
     ServiceExperimentConfig,
+    run_figure,
     run_service_experiment,
     trial_cache_key,
-)
-from repro.experiments.service import (
-    service_faults_configs,
-    service_rebuild_configs,
-    service_rebuild_figure,
 )
 
 KILOBYTE = 1024
@@ -58,7 +55,7 @@ class TestConfigPlumbing:
         assert fault_config.silent_range_sectors == 128
 
     def test_rebuild_grid_is_parity_failstop_everywhere(self):
-        configs = service_rebuild_configs()
+        configs = FAMILIES["service-rebuild"].grid().configs
         assert len(configs) == 4  # 2 devices x 2 methods
         for config in configs:
             assert config.redundancy == "parity"
@@ -68,7 +65,7 @@ class TestConfigPlumbing:
         assert {c.device for c in configs} == {"disk", "ssd"}
 
     def test_faults_grid_takes_a_device(self):
-        configs = service_faults_configs(device="ssd")
+        configs = FAMILIES["service-faults"].grid(device="ssd").configs
         assert all(config.device == "ssd" for config in configs)
 
 
@@ -158,8 +155,8 @@ class TestParityTrials:
 
 class TestRebuildFigure:
     def figure(self, **kwargs):
-        return service_rebuild_figure(
-            devices=("disk",), trials=1, fault_fail_stop_time=0.01,
+        return run_figure(
+            "service-rebuild", devices=("disk",), trials=1, fault_fail_stop_time=0.01,
             rebuild_bandwidth=16.0 * 1024 * 1024, **{**TINY, **kwargs})
 
     def test_figure_reports_phases_and_zero_failures(self):

@@ -66,7 +66,9 @@ def make_repo(tmp_path):
     write(tmp_path / "src" / "repro" / "sim" / "__init__.py", "")
     write(tmp_path / "src" / "repro" / "sim" / "engine.py", "X = 1\n")
     write(tmp_path / "src" / "repro" / "experiments" / "figures.py",
-          'FIGURES = {\n    "figure3": f3,\n    "service": svc,\n}\n')
+          'FIGURES = {\n    "figure3": f3,\n    **families,\n}\n')
+    write(tmp_path / "src" / "repro" / "experiments" / "service.py",
+          'SERVICE = FamilySpec(\n    name="service",\n)\n')
     write(tmp_path / "tools" / "demo.py",
           'parser.add_argument("--workers")\n')
     return tmp_path

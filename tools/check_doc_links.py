@@ -92,8 +92,10 @@ _EXTERNAL_FLAGS = frozenset({
 #: Where project CLI flags are defined.
 _FLAG_SOURCE_DIRS = ("src", "tools", "benchmarks", "examples")
 
-#: The figure registry, parsed textually (CI's docs job has no numpy).
+#: The figure registry and the service family table it includes, parsed
+#: textually (CI's docs job has no numpy).
 _FIGURES_SOURCE = "src/repro/experiments/figures.py"
+_FAMILIES_SOURCE = "src/repro/experiments/service.py"
 
 #: CLI pseudo-figures accepted beside the registry keys.
 _FIGURE_EXTRAS = frozenset({"all", "claims"})
@@ -192,18 +194,25 @@ def known_flags(root):
     return flags
 
 
-def figure_names(root):
-    """Keys of the FIGURES registry, parsed from the source text."""
-    source_path = Path(root) / _FIGURES_SOURCE
+def _read(path):
     try:
-        source = source_path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8")
     except OSError:
-        return set()
-    match = re.search(r"^FIGURES\s*=\s*\{(.*?)^\}", source,
+        return ""
+
+
+def figure_names(root):
+    """Keys of the FIGURES registry, parsed from the source text: its own
+    literal keys plus the ``name=`` of every service ``FamilySpec``."""
+    match = re.search(r"^FIGURES\s*=\s*\{(.*?)^\}",
+                      _read(Path(root) / _FIGURES_SOURCE),
                       re.MULTILINE | re.DOTALL)
     if match is None:
         return set()
-    return set(re.findall(r"[\"']([a-z][a-z0-9-]*)[\"']\s*:", match.group(1)))
+    names = set(re.findall(r"[\"']([a-z][a-z0-9-]*)[\"']\s*:", match.group(1)))
+    return names | set(re.findall(
+        r"FamilySpec\(\s*name=[\"']([a-z][a-z0-9-]*)[\"']",
+        _read(Path(root) / _FAMILIES_SOURCE)))
 
 
 def stale_references(markdown_path, root=".", flags=None, figures=None):
