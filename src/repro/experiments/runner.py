@@ -84,7 +84,14 @@ from repro.patterns import make_pattern
 #:     run loop, no per-grant utilization tracking).  Every result is
 #:     bit-identical (the digest matrix pins this); the bump only follows
 #:     the rule that any kernel change carries one.
-CACHE_SCHEMA_VERSION = 11
+#: v12: the service driver's reference paths were retired (legacy FIFO
+#:     ``Resource`` admission, the materialised open-loop generator, the
+#:     spawning single-piece Memput/Memget path and ``ServiceResult``'s
+#:     record-list fallbacks); a run in which no session completes now
+#:     reports a zero makespan instead of a negative one.  Every other
+#:     result is bit-identical (the digest matrix pins this); the bump is
+#:     precautionary.
+CACHE_SCHEMA_VERSION = 12
 
 
 # -- experiment families --------------------------------------------------------

@@ -1,17 +1,15 @@
 """Pluggable admission control for the service driver.
 
-The driver used to admit collectives through a plain FIFO counting
-:class:`~repro.sim.resources.Resource`: K slots, granted in arrival order.
-Under heavy-tailed (Pareto) file sizes that is exactly wrong for the tail —
-one giant session at the head of the queue stalls every small session behind
-it, and the ``service-overload`` figure shows p99 destroyed at 4x saturation.
+Plain FIFO admission — K slots, granted in arrival order — is exactly wrong
+for the tail under heavy-tailed (Pareto) file sizes: one giant session at
+the head of the queue stalls every small session behind it, and the
+``service-overload`` figure shows p99 destroyed at 4x saturation.
 The driver *knows each session's byte size at admission time* (the request
 plan is a pure function of ``(seed, index)``), which is the precondition for
 the size- and deadline-aware disciplines the I/O-service literature
 recommends.  This module supplies them:
 
-* :class:`FIFOPolicy` — the reference discipline, **bit-identical** to the
-  old ``Resource`` path (the differential tests pin this);
+* :class:`FIFOPolicy` — the reference discipline: arrival order;
 * :class:`SJFPolicy` — shortest-job-first *at admission*, with an **aging
   bound** so large sessions cannot be starved indefinitely;
 * :class:`PriorityPolicy` — static priority classes (0 is most urgent),
@@ -122,7 +120,7 @@ class AdmissionPolicy:
 
 
 class FIFOPolicy(AdmissionPolicy):
-    """Arrival order — the reference, bit-identical to the old Resource path."""
+    """Arrival order — the reference discipline."""
 
     name = "fifo"
 
@@ -244,12 +242,11 @@ def make_admission_policy(spec, aging_bound=0.0, service_rate=0.0):
 class AdmissionQueue:
     """A K-slot admission scheduler with a pluggable ordering policy.
 
-    The grant mechanics mirror :class:`~repro.sim.resources.Resource`
-    exactly — immediate synchronous grant while slots are free, handoff at
-    release before anything else runs — so with :class:`FIFOPolicy` the event
-    sequence (and therefore every simulated result) is bit-identical to the
-    counting-semaphore driver this replaces; the differential tests pin that.
-    Non-FIFO policies differ only in *which* waiter each freed slot goes to.
+    The grant mechanics mirror :class:`~repro.sim.resources.Resource` —
+    immediate synchronous grant while slots are free, handoff at release
+    before anything else runs — so with :class:`FIFOPolicy` it behaves as a
+    FIFO counting semaphore.  Non-FIFO policies differ only in *which*
+    waiter each freed slot goes to.
 
     ``set_capacity`` is the controller's actuator: growing K grants waiting
     sessions immediately, shrinking K lets the excess drain as sessions

@@ -59,7 +59,6 @@ from repro.fs import FileSystem
 from repro.machine import Machine, MachineConfig
 from repro.patterns import make_pattern
 from repro.sim.events import AllOf
-from repro.sim.resources import Resource
 from repro.workload.admission import (
     ADMITTED,
     DROPPED,
@@ -223,10 +222,11 @@ class ServiceResult:
     Percentiles and fault totals are carried by *mergeable aggregates* —
     log-bucketed quantile sketches (:mod:`repro.workload.aggregate`) and
     scalar totals folded in as each session completes — so a result is O(1)
-    in the request count.  ``requests`` additionally holds one plain
-    dictionary per request (index, file, pattern, arrival / admitted /
-    completed times, bytes requested and moved) when the driver runs with
-    ``retain_requests=True``; streaming runs leave it empty.
+    in the request count.  :meth:`ServiceDriver.run` always fills both.
+    ``requests`` additionally holds one plain dictionary per request (index,
+    file, pattern, arrival / admitted / completed times, bytes requested and
+    moved) when the driver runs with ``retain_requests=True``; streaming runs
+    leave it empty.
     """
 
     method: str
@@ -308,9 +308,7 @@ class ServiceResult:
         cache_name = f"_{attribute}_obj"
         sketch = getattr(self, cache_name, None)
         if sketch is None:
-            data = getattr(self, attribute)
-            sketch = QuantileSketch.from_dict(data) if data \
-                else QuantileSketch()
+            sketch = QuantileSketch.from_dict(getattr(self, attribute))
             object.__setattr__(self, cache_name, sketch)
         return sketch
 
@@ -320,71 +318,59 @@ class ServiceResult:
         Estimated from the mergeable quantile sketch — within the documented
         relative error bound (:func:`repro.workload.aggregate.
         relative_error_bound`) of the sorted-list answer, at O(1) memory in
-        the request count.  Results built without a sketch (e.g. assembled by
-        hand in tests) fall back to the exact sorted-list percentile of the
-        retained records.
+        the request count.
         """
-        if self.response_sketch:
-            return self._sketch("response_sketch").quantile(fraction)
-        return percentile(self.response_times, fraction)
+        return self._sketch("response_sketch").quantile(fraction)
 
     def service_percentile(self, fraction):
         """Admission-to-completion time percentile, from the sketch."""
-        if self.service_sketch:
-            return self._sketch("service_sketch").quantile(fraction)
-        return percentile(self.service_times, fraction)
+        return self._sketch("service_sketch").quantile(fraction)
 
     @property
     def mean_response_time(self):
-        if self.response_sketch:
-            return self._sketch("response_sketch").mean
-        times = self.response_times
-        return sum(times) / len(times) if times else 0.0
+        return self._sketch("response_sketch").mean
 
     # -- fault accounting --------------------------------------------------------
-    def _aggregate(self, name, record_key):
-        """A fold total, falling back to summing retained records for
-        results assembled without aggregates (e.g. by hand in tests)."""
-        if self.aggregates:
-            return self.aggregates.get(name, 0)
-        return sum(record.get(record_key, 0) for record in self.requests)
+    def _aggregate(self, name):
+        """A scalar fold total (the driver creates every key up front)."""
+        return self.aggregates[name]
 
     @property
     def failed_bytes(self):
         """Read bytes requested but never delivered (given up under faults)."""
-        return self._aggregate("bytes_failed", "bytes_failed")
+        return self._aggregate("bytes_failed")
 
     @property
     def lost_bytes(self):
         """Write bytes shipped over the wire but never made durable."""
-        return self._aggregate("bytes_lost", "bytes_lost")
+        return self._aggregate("bytes_lost")
 
     @property
     def total_retries(self):
         """Disk requests re-submitted by the retry policy, whole run."""
-        return self._aggregate("retries", "retries")
+        return self._aggregate("retries")
 
     @property
     def degraded_requests(self):
         """Number of requests that completed degraded (partial data)."""
-        return self._aggregate("degraded", "degraded")
+        return self._aggregate("degraded")
 
     # -- admission accounting ----------------------------------------------------
     @property
     def shed_bytes(self):
         """Bytes of sessions rejected at admission (deadline drops + load
         shedding) — requested work the server explicitly declined."""
-        return self._aggregate("bytes_shed", "bytes_shed")
+        return self._aggregate("bytes_shed")
 
     @property
     def dropped_requests(self):
         """Sessions dropped by the admission policy (unmeetable deadlines)."""
-        return self._aggregate("dropped", "dropped")
+        return self._aggregate("dropped")
 
     @property
     def shed_requests(self):
         """Sessions shed by the controller's SLO load shedder."""
-        return self._aggregate("shed", "shed")
+        return self._aggregate("shed")
 
     @property
     def goodput(self):
@@ -408,22 +394,13 @@ class ServiceResult:
         failed bytes join the left side, and under drop/shed admission the
         rejected sessions' bytes do too: ``bytes_moved + bytes_failed +
         bytes_shed == bytes_requested``.  The check is folded per session at
-        its terminal event (so streaming runs keep it without retaining
-        records); results assembled without aggregates fall back to checking
-        the retained records.
+        its terminal event, so streaming runs keep it without retaining
+        records.
         """
-        if self.aggregates:
-            totals_balance = (
-                self.aggregates.get("bytes_moved", 0)
-                + self.aggregates.get("bytes_failed", 0)
-                + self.aggregates.get("bytes_shed", 0)
-                == self.aggregates.get("bytes_requested", 0))
-            return bool(self.aggregates.get("conserved", False)) \
-                and totals_balance
-        return all(record["bytes_moved"] + record.get("bytes_failed", 0)
-                   + record.get("bytes_shed", 0)
-                   == record["bytes_requested"]
-                   for record in self.requests)
+        aggregates = self.aggregates
+        return aggregates["conserved"] and (
+            aggregates["bytes_moved"] + aggregates["bytes_failed"]
+            + aggregates["bytes_shed"] == aggregates["bytes_requested"])
 
     def summary(self):
         return (f"{self.method:12s} {self.arrival:8s} K={self.concurrency} "
@@ -432,13 +409,13 @@ class ServiceResult:
                 f"p99={self.response_percentile(0.99) * 1e3:7.2f} ms")
 
 
-#: Handler-spawn window for streaming open-loop runs: how many arrived
-#: requests may exist as live (pending-unadmitted) simulator processes at
-#: once.  The window only has to exceed the number of admission slots that
-#: can free at one simulated instant (at most ``concurrency``) for admission
-#: instants to match the materialised reference exactly; it is generous
-#: because handlers are small and the backlog itself stays implicit in the
-#: arrival cursor.
+#: Handler-spawn window for open-loop runs: how many arrived requests may
+#: exist as live (pending-unadmitted) simulator processes at once.  The
+#: window only has to exceed the number of admission slots that can free at
+#: one simulated instant (at most ``concurrency``) for every grant to find
+#: the same request at the same instant as an unbounded window would; it is
+#: generous because handlers are small and the backlog itself stays
+#: implicit in the arrival cursor.
 STREAM_SPAWN_WINDOW = 64
 
 
@@ -447,19 +424,18 @@ class ServiceDriver:
 
     ``implementation`` is a re-entrant :class:`CollectiveFileSystem` bound to
     the machine; ``files`` are the concurrently-open striped files requests
-    are spread over.  The driver owns the admission scheduler: a counting
-    semaphore of ``workload.concurrency`` slots, acquired before
-    ``begin_transfer`` and released at completion.
+    are spread over.  The driver owns the admission scheduler: an
+    :class:`~repro.workload.admission.AdmissionQueue` of
+    ``workload.concurrency`` slots, requested before ``begin_transfer`` and
+    released at completion.
 
     Measurement is *streaming*: each session's response/service time and
     byte/fault counters are folded into mergeable aggregates
     (:mod:`repro.workload.aggregate`) the moment it completes, so driver-side
-    memory is O(1) in the request count.  With ``retain_requests=True`` (the
-    default, for small runs and the differential reference) the driver
-    additionally keeps the per-request record list and uses the exact
-    handler-per-arrival open-loop generator; ``retain_requests=False`` keeps
-    only the aggregates and bounds live open-loop handlers by a spawn window
-    driven from the (deterministic) arrival cursor.
+    memory is O(1) in the request count.  Open-loop handlers are spawned
+    from the (deterministic) arrival cursor, at most a spawn window of them
+    alive at once.  ``retain_requests`` decides only whether the
+    per-request record list is kept as well (the default, for small runs).
 
     ``checkpoint_every``/``checkpoint_path`` write a
     :class:`~repro.workload.checkpoint.RunCheckpoint` of the fold state every
@@ -472,8 +448,7 @@ class ServiceDriver:
     def __init__(self, machine, implementation, files, workload,
                  retain_requests=True, checkpoint_every=0,
                  checkpoint_path=None, resume_from=None,
-                 admission_policy="fifo", controller=None,
-                 legacy_admission=False):
+                 admission_policy="fifo", controller=None):
         self.machine = machine
         self.env = machine.env
         self.implementation = implementation
@@ -486,32 +461,19 @@ class ServiceDriver:
             resume_from = RunCheckpoint.load(resume_from)
         self._resume = resume_from
         self.admission_policy = make_admission_policy(admission_policy)
-        self._legacy = legacy_admission
         if isinstance(controller, dict):
             controller = ControllerConfig(**controller)
         self._controller_config = controller
         self._controller = None
-        if legacy_admission:
-            # The pre-admission-layer reference path (a plain FIFO counting
-            # Resource), kept so the differential tests can pin the FIFO
-            # policy bit-identical against the code it replaced.
-            if controller is not None \
-                    or not isinstance(self.admission_policy, FIFOPolicy):
-                raise ValueError(
-                    "the legacy admission path is FIFO-only, no controller")
-            self.admission = Resource(machine.env,
-                                      capacity=workload.concurrency,
-                                      name="service-admission")
-        else:
-            self.admission = AdmissionQueue(machine.env,
-                                            capacity=workload.concurrency,
-                                            policy=self.admission_policy,
-                                            name="service-admission")
-            if controller is not None:
-                max_k = controller.max_k if controller.max_k > 0 \
-                    else 4 * workload.concurrency
-                self._controller = AdaptiveConcurrencyController(
-                    controller, self.admission, max_k=max_k)
+        self.admission = AdmissionQueue(machine.env,
+                                        capacity=workload.concurrency,
+                                        policy=self.admission_policy,
+                                        name="service-admission")
+        if controller is not None:
+            max_k = controller.max_k if controller.max_k > 0 \
+                else 4 * workload.concurrency
+            self._controller = AdaptiveConcurrencyController(
+                controller, self.admission, max_k=max_k)
         self._in_flight = 0
         self.max_in_flight = 0
         self._records = []
@@ -611,18 +573,10 @@ class ServiceDriver:
             ]
             done = AllOf(self.env, streams)
         else:
-            handlers_done = self.env.event()
-            if self.retain_requests:
-                self.env.process(
-                    self._open_loop_generator(seed, arrival, handlers_done))
-            else:
-                # Streaming: bound live handlers by the spawn window; the
-                # backlog stays implicit in the deterministic arrival cursor.
-                self._window = self._spawn_window()
-                self._window_pending = 0
-                self._complete_event = handlers_done
-                self.env.process(self._open_loop_streaming(seed, arrival))
-            done = handlers_done
+            done = self._complete_event = self.env.event()
+            self._window = self._spawn_window()
+            self._window_pending = 0
+            self.env.process(self._open_loop(seed, arrival))
         self.env.run(done, watchdog=watchdog)
 
         totals = self._totals
@@ -645,9 +599,13 @@ class ServiceDriver:
                 totals[key] = parity.counters[key]
         # The makespan runs from the *first arrival* to the last completion:
         # an open-loop run's idle lead-in (the first interarrival gap) is not
-        # service time and must not deflate throughput.
-        first_arrival = totals["first_arrival"]
-        end_time = totals["last_completion"]
+        # service time and must not deflate throughput.  A run in which no
+        # session completes (every one dropped or shed) has a zero makespan,
+        # not one that ends before it began.
+        start_time = run_start if totals["first_arrival"] is None \
+            else totals["first_arrival"]
+        end_time = start_time if totals["last_completion"] is None \
+            else totals["last_completion"]
         return ServiceResult(
             method=self.implementation.method_name,
             arrival=arrival.describe(),
@@ -657,8 +615,8 @@ class ServiceDriver:
             n_iops=self.machine.config.n_iops,
             n_disks=self.machine.config.n_disks,
             seed=seed,
-            start_time=run_start if first_arrival is None else first_arrival,
-            end_time=run_start if end_time is None else end_time,
+            start_time=start_time,
+            end_time=end_time,
             total_bytes=totals["bytes_moved"],
             max_in_flight=self.max_in_flight,
             requests=list(self._records) if self._records is not None else [],
@@ -684,17 +642,16 @@ class ServiceDriver:
                 for cls, sketch in sorted(self._class_sketches.items())}
 
     def _spawn_window(self):
-        """Live-handler bound for the streaming open loop.
+        """Live-handler bound for the open loop.
 
         FIFO admission only ever grants the earliest-index waiters, so a
-        fixed window that exceeds the slots that can free at one instant is
-        enough for admission instants to match the materialised reference.
+        fixed window that exceeds the slots that can free at one instant
+        admits every request at the instant an unbounded window would.
         A non-FIFO policy (or a shedding controller) must see the *whole*
-        arrived backlog to pick (or drop) the same session the retained
-        driver would, so the window opens to the full stream: memory becomes
-        O(admission queue length) — the floor any online size/deadline-aware
-        discipline needs — instead of O(1), and the streaming-vs-retained
-        differential matrix still holds bit-identically.
+        arrived backlog to pick (or drop) the right session, so the window
+        opens to the full stream: memory becomes O(admission queue length) —
+        the floor any online size/deadline-aware discipline needs — instead
+        of O(1).
         """
         window = max(2 * self.workload.concurrency, STREAM_SPAWN_WINDOW)
         controller = self._controller
@@ -803,35 +760,19 @@ class ServiceDriver:
             first = False
             yield from self._handle_request(trial_seed, index)
 
-    def _open_loop_generator(self, trial_seed, arrival, handlers_done):
-        """Spawn a handler for every request at its scheduled arrival time."""
-        workload = self.workload
-        handlers = []
-        clock = self.env.now
-        for index in range(workload.n_requests):
-            arrival_time = clock + arrival.interarrival(trial_seed, index)
-            delay = arrival_time - self.env.now
-            if delay > 0:
-                yield self.env.timeout(delay)
-            clock = arrival_time
-            handlers.append(self.env.process(
-                self._handle_request(trial_seed, index)))
-        yield AllOf(self.env, handlers)
-        handlers_done.succeed()
-
-    def _open_loop_streaming(self, trial_seed, arrival):
+    def _open_loop(self, trial_seed, arrival):
         """Constant-memory open loop: spawn handlers from an arrival cursor.
 
-        The cursor walks arrival times in index order (the same cumulative
-        interarrival sums the reference generator produces) but only keeps
-        ``self._window`` handlers alive at once: the next handler is spawned
-        when a handler is *admitted* (freeing a window slot) and its arrival
-        time has been reached.  Because the window always holds the
-        earliest-index pending requests and exceeds the number of admission
-        slots that can free at one instant, every admission grant finds the
-        same request at the same simulated time as the materialised
-        reference — the backlog beyond the window exists only as the
-        not-yet-advanced cursor, at zero memory.
+        The cursor walks arrival times in index order (cumulative
+        interarrival sums) but only keeps ``self._window`` handlers alive at
+        once: the next handler is spawned when a handler is *admitted*
+        (freeing a window slot) and its arrival time has been reached.
+        Because the window always holds the earliest-index pending requests
+        and exceeds the number of admission slots that can free at one
+        instant, every admission grant finds the same request at the same
+        simulated time as if every handler had spawned at its arrival — the
+        backlog beyond the window exists only as the not-yet-advanced
+        cursor, at zero memory.
         """
         workload = self.workload
         clock = self.env.now
@@ -849,7 +790,7 @@ class ServiceDriver:
         # Completion of the last handler fires self._complete_event.
 
     def _note_admitted(self):
-        """Streaming-mode bookkeeping: an admission frees a window slot."""
+        """Open-loop bookkeeping: an admission frees a window slot."""
         if self._window_pending is None:
             return
         self._window_pending -= 1
@@ -914,33 +855,30 @@ class ServiceDriver:
     def _handle_request(self, trial_seed, index, arrival_time=None):
         """Admit, run and account one collective request.
 
-        *arrival_time* is passed by the streaming open loop (whose handlers
-        may be spawned after their planned arrival when the window is full);
-        when ``None`` the request arrives the moment the handler starts.
+        *arrival_time* is passed by the open loop (whose handlers may be
+        spawned after their planned arrival when the window is full); when
+        ``None`` (closed loop) the request arrives the moment the handler
+        starts.
         """
         striped_file, pattern = self.plan_request(trial_seed, index)
         if arrival_time is None:
             arrival_time = self.env.now
-        priority = 0
-        if self._legacy:
-            slot = self.admission.request()
-        else:
-            priority, slack = session_qos(trial_seed, index,
-                                          self.workload.priority_levels,
-                                          self.workload.deadline_slack)
-            slot = self.admission.request(AdmissionTicket(
-                index=index,
-                arrival_time=arrival_time,
-                enqueue_time=self.env.now,
-                size_bytes=pattern.total_transfer_bytes(),
-                priority=priority,
-                deadline=None if slack is None else arrival_time + slack,
-            ))
+        priority, slack = session_qos(trial_seed, index,
+                                      self.workload.priority_levels,
+                                      self.workload.deadline_slack)
+        slot = self.admission.request(AdmissionTicket(
+            index=index,
+            arrival_time=arrival_time,
+            enqueue_time=self.env.now,
+            size_bytes=pattern.total_transfer_bytes(),
+            priority=priority,
+            deadline=None if slack is None else arrival_time + slack,
+        ))
         yield slot
-        if not self._legacy and not slot.admitted:
+        if not slot.admitted:
             # Rejected at admission (deadline drop or load shed): the
             # session is terminal without ever running; account its bytes
-            # as shed so conservation holds, free the streaming window
+            # as shed so conservation holds, free the open-loop window
             # slot, and count the completion so the run can finish.
             self._note_admitted()
             if index not in self._folded:
@@ -1072,7 +1010,7 @@ def run_service(method, workload, machine_config=None, seed=None,
                 checkpoint_path=None, resume_from=None,
                 admission_policy="fifo", admission_aging=0.0,
                 edf_service_rate=0.0, controller=None,
-                legacy_admission=False, device="disk", redundancy="none",
+                device="disk", redundancy="none",
                 rebuild_bandwidth=0.0, **fs_kwargs):
     """Build a machine, drive *workload* through it, return the :class:`ServiceResult`.
 
@@ -1084,8 +1022,8 @@ def run_service(method, workload, machine_config=None, seed=None,
     ``watchdog`` bounds wall time without simulated progress.
 
     ``retain_requests=False`` runs the driver in constant-memory streaming
-    mode (no per-request records; percentiles come from the mergeable
-    sketch — they always do).  ``checkpoint_every``/``checkpoint_path``
+    mode: no per-request records (percentiles come from the mergeable
+    sketch either way).  ``checkpoint_every``/``checkpoint_path``
     write periodic fold-state checkpoints and ``resume_from`` restores one
     (see :mod:`repro.workload.checkpoint`).
 
@@ -1094,9 +1032,7 @@ def run_service(method, workload, machine_config=None, seed=None,
     ``admission_aging`` and ``edf_service_rate`` parameterise SJF's aging
     bound and EDF's meetability estimate.  ``controller`` (a
     :class:`~repro.workload.admission.ControllerConfig` or kwargs dict)
-    enables the adaptive-K p99 controller.  ``legacy_admission=True`` runs
-    the pre-admission-layer FIFO ``Resource`` path — the differential
-    reference only.
+    enables the adaptive-K p99 controller.
     """
     machine, implementation, files = build_service_machine(
         workload, machine_config=machine_config, seed=seed, method=method,
@@ -1114,7 +1050,6 @@ def run_service(method, workload, machine_config=None, seed=None,
                                admission_policy,
                                aging_bound=admission_aging,
                                service_rate=edf_service_rate),
-                           controller=controller,
-                           legacy_admission=legacy_admission)
+                           controller=controller)
     return driver.run(trial_seed=workload.seed if seed is None else seed,
                       watchdog=watchdog)

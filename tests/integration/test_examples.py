@@ -45,8 +45,8 @@ class TestExamples:
         assert "disks" in proc.stdout
 
     def test_service_driver(self):
-        # The CI quickstart smoke: tiny stream, heavy-tailed sizes, 8-byte
-        # record mix (mirrors the bench-smoke CI step).
+        # The quickstart smoke: tiny stream, heavy-tailed sizes, 8-byte
+        # record mix, so the documented example cannot silently rot.
         proc = run_example("service_driver.py", "--requests", "4", "--files",
                            "2", "--file-mb", "0.125", "-K", "2",
                            "--size-dist", "pareto",

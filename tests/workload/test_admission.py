@@ -6,7 +6,7 @@ Three layers of pinning, per the determinism contract of
 * **Queue mechanics** — the :class:`AdmissionQueue` grant order under each
   policy matches an independent pure-Python expression of the same spec
   (property-tested with hypothesis when installed), FIFO matches the
-  counting-semaphore :class:`Resource` it replaces grant-for-grant, and EDF
+  counting-semaphore :class:`Resource` it mirrors grant-for-grant, and EDF
   drops exactly the sessions whose deadlines are unmeetable at grant time.
 * **Starvation** — the size-aware policy's aging bound really does bound the
   admission wait of a Pareto-tail giant under sustained overload; pure SJF
@@ -459,20 +459,6 @@ class TestDriverIntegration:
                     seed=2)
     MACHINE = dict(n_cps=2, n_iops=2, n_disks=4)
 
-    def test_legacy_path_is_fifo_only(self):
-        from repro.workload.driver import ServiceDriver, build_service_machine
-
-        workload = ServiceWorkload(**self.WORKLOAD)
-        machine, implementation, files = build_service_machine(
-            workload, machine_config=MachineConfig(**self.MACHINE))
-        with pytest.raises(ValueError, match="FIFO-only"):
-            ServiceDriver(machine, implementation, files, workload,
-                          admission_policy="sjf", legacy_admission=True)
-        with pytest.raises(ValueError, match="no controller"):
-            ServiceDriver(machine, implementation, files, workload,
-                          controller={"target_p99": 1.0},
-                          legacy_admission=True)
-
     def test_dropped_sessions_never_enter_response_sketch(self):
         workload = ServiceWorkload(deadline_slack=0.01,
                                    **{**self.WORKLOAD, "concurrency": 1})
@@ -490,6 +476,23 @@ class TestDriverIntegration:
         assert all(record["outcome"] == DROPPED and
                    record["bytes_shed"] == record["bytes_requested"]
                    for record in dropped)
+
+    def test_run_with_no_completion_has_zero_makespan(self):
+        # Every session's deadline is unmeetable, so EDF drops all of them:
+        # the makespan must be zero, not end before the first arrival.
+        workload = ServiceWorkload(n_requests=8, arrival="poisson",
+                                   arrival_rate=1000.0, concurrency=1,
+                                   n_files=2, file_size=64 * KILOBYTE,
+                                   deadline_slack=1e-6, seed=1)
+        result = run_service("disk-directed", workload,
+                             machine_config=MachineConfig(n_cps=2, n_iops=1,
+                                                          n_disks=2),
+                             admission_policy="edf", edf_service_rate=1.0)
+        assert result.dropped_requests == workload.n_requests
+        assert result.aggregates["completed"] == 0
+        assert result.elapsed == 0
+        assert result.throughput == 0 and result.goodput == 0
+        assert result.conserves_bytes()
 
     def test_priority_classes_get_per_class_sketches(self):
         workload = ServiceWorkload(priority_levels=3, **self.WORKLOAD)

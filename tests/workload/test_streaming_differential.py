@@ -1,14 +1,14 @@
-"""Differential pins: the streaming driver against the retained reference.
+"""Differential pins: streaming runs against retained runs.
 
-``retain_requests=False`` must be a *representation* change, not a behaviour
-change: the spawn-window open loop admits every request at the same simulated
-instant as the materialised reference, and the fold-at-completion aggregates
-must equal the reference's — bit-identical where the quantity is exact
-(byte counters, conservation, makespan, sketches, per-method counters), and
-within the sketch's documented error bound where the reference computes the
-exact sorted-list percentile.  The matrix spans seed x arrival process x
-fault config, because each axis changes completion *order* — the thing a
-fold could accidentally depend on.
+Retained and streaming runs share one open loop (the spawn-window cursor),
+so ``retain_requests=False`` must change only the *representation*: the
+fold-at-completion aggregates must equal the retained run's — bit-identical
+where the quantity is exact (byte counters, conservation, makespan,
+sketches, per-method counters), and within the sketch's documented error
+bound of the exact sorted-list percentile of the retained records.  The
+matrix spans seed x arrival process x fault config, because each axis
+changes completion *order* — the thing a fold could accidentally depend on.
+The spawn window itself is pinned against an unbounded window at the end.
 """
 
 import dataclasses
@@ -17,7 +17,7 @@ import pytest
 
 from repro.disk.faults import FaultConfig
 from repro.machine import MachineConfig
-from repro.workload import ServiceWorkload, run_service
+from repro.workload import ServiceWorkload, driver, run_service
 from repro.workload.aggregate import relative_error_bound
 from repro.workload.driver import percentile
 
@@ -117,48 +117,6 @@ class TestStreamingAcrossMethods:
             1, {"arrival": "poisson", "arrival_rate": 60.0}, None,
             method=method)
         assert envelope(streaming) == envelope(retained)
-
-
-def run_legacy_pair(seed, arrival_kwargs, fault_config):
-    """The same trial on the pre-admission-layer Resource path and the new
-    FIFO AdmissionQueue, both retained."""
-    results = []
-    for legacy in (True, False):
-        workload = tiny_workload(seed, **arrival_kwargs)
-        results.append(run_service(
-            "disk-directed", workload,
-            machine_config=MachineConfig(n_cps=2, n_iops=2, n_disks=4),
-            seed=seed, fault_config=fault_config,
-            legacy_admission=legacy))
-    return results
-
-
-@pytest.mark.parametrize("fault_name,fault_config", FAULTS,
-                         ids=[name for name, _ in FAULTS])
-@pytest.mark.parametrize("arrival_kwargs", ARRIVALS,
-                         ids=[spec["arrival"] for spec in ARRIVALS])
-@pytest.mark.parametrize("seed", SEEDS)
-class TestFIFOMatchesLegacyResource:
-    """The admission layer's FIFO policy against the counting semaphore it
-    replaced — full-result bit-identity, per-request records included, across
-    the same seed x arrival x fault matrix (each axis shifts grant order)."""
-
-    def test_bit_identical_including_records(self, seed, arrival_kwargs,
-                                             fault_name, fault_config):
-        legacy, modern = run_legacy_pair(seed, arrival_kwargs, fault_config)
-        assert dataclasses.asdict(modern) == dataclasses.asdict(legacy)
-        assert modern.admission == "fifo" and modern.controller == {}
-
-    def test_streaming_fifo_matches_legacy_envelope(self, seed,
-                                                    arrival_kwargs,
-                                                    fault_name, fault_config):
-        legacy, _ = run_legacy_pair(seed, arrival_kwargs, fault_config)
-        workload = tiny_workload(seed, **arrival_kwargs)
-        streaming = run_service(
-            "disk-directed", workload,
-            machine_config=MachineConfig(n_cps=2, n_iops=2, n_disks=4),
-            seed=seed, fault_config=fault_config, retain_requests=False)
-        assert envelope(streaming) == envelope(legacy)
 
 
 def stamped_workload(seed, **arrival_kwargs):
@@ -262,23 +220,49 @@ class TestRejectionsHappenUnderOverload:
             result.aggregates["completed"]
 
 
+def max_backlog(result):
+    """Most requests ever arrived but not yet admitted, from the records."""
+    admitted = sorted(record["admitted_time"] for record in result.requests)
+    return max(
+        sum(1 for record in result.requests
+            if record["arrival_time"] <= instant < record["admitted_time"])
+        for instant in admitted)
+
+
+#: FIFO shapes whose arrived-but-unadmitted backlog outgrows the spawn
+#: window: (K, requests, offered load in req/s).
+WINDOW_SHAPES = ((1, 100, 5000.0), (2, 200, 10000.0), (3, 300, 8000.0))
+
+
 class TestStreamingUnderPressure:
-    def test_window_smaller_than_backlog(self):
+    @pytest.mark.parametrize("concurrency,n_requests,arrival_rate",
+                             WINDOW_SHAPES,
+                             ids=[f"K{k}" for k, _, _ in WINDOW_SHAPES])
+    def test_window_smaller_than_backlog(self, monkeypatch, concurrency,
+                                         n_requests, arrival_rate):
         # More requests than the spawn window, arriving far faster than the
         # server drains them: the window must refill from the cursor without
-        # perturbing admission order.  (window = max(2K, 64) = 64 < 100.)
-        workload = ServiceWorkload(n_requests=100, arrival="poisson",
-                                   arrival_rate=10000.0, concurrency=2,
+        # perturbing admission order.  The reference is the same retained
+        # run with the window opened past n_requests, so every handler
+        # spawns at its arrival.
+        workload = ServiceWorkload(n_requests=n_requests, arrival="poisson",
+                                   arrival_rate=arrival_rate,
+                                   concurrency=concurrency,
                                    n_files=2, file_size=32 * KILOBYTE,
                                    layout="contiguous",
                                    pattern_specs=("b",), record_size=8192,
                                    seed=2)
         machine_config = MachineConfig(n_cps=2, n_iops=1, n_disks=2)
-        reference = run_service("disk-directed", workload,
-                                machine_config=machine_config, seed=2,
-                                retain_requests=True)
-        streaming = run_service("disk-directed", workload,
-                                machine_config=machine_config, seed=2,
-                                retain_requests=False)
-        assert envelope(streaming) == envelope(reference)
-        assert streaming.max_in_flight == 2
+
+        def run(retain=True):
+            return run_service("disk-directed", workload,
+                               machine_config=machine_config, seed=2,
+                               retain_requests=retain)
+
+        windowed = run()
+        assert max_backlog(windowed) > driver.STREAM_SPAWN_WINDOW
+        assert envelope(run(retain=False)) == envelope(windowed)
+        monkeypatch.setattr(driver, "STREAM_SPAWN_WINDOW", n_requests + 1)
+        unbounded = run()
+        assert dataclasses.asdict(windowed) == dataclasses.asdict(unbounded)
+        assert windowed.max_in_flight == concurrency
