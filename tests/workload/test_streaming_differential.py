@@ -8,10 +8,12 @@ sketches, per-method counters), and within the sketch's documented error
 bound of the exact sorted-list percentile of the retained records.  The
 matrix spans seed x arrival process x fault config, because each axis
 changes completion *order* — the thing a fold could accidentally depend on.
-The spawn window itself is pinned against an unbounded window at the end.
+FIFO admission is pinned grant for grant against a pure-Python queue in
+front of K slots, and the spawn window against an unbounded window.
 """
 
 import dataclasses
+import heapq
 
 import pytest
 
@@ -117,6 +119,69 @@ class TestStreamingAcrossMethods:
             1, {"arrival": "poisson", "arrival_rate": 60.0}, None,
             method=method)
         assert envelope(streaming) == envelope(retained)
+
+
+def fifo_slot_admissions(records, concurrency):
+    """Admission instants of a FIFO queue in front of *concurrency* slots.
+
+    An independent expression of the spec, fed the records' arrival and
+    completion instants: requests are granted in arrival order, each at the
+    latest of its arrival, the previous grant and the earliest instant one
+    of the slots frees up.
+    """
+    admitted = {}
+    busy_until = []
+    previous = 0.0
+    for record in sorted(records, key=lambda record: (record["arrival_time"],
+                                                      record["index"])):
+        free = heapq.heappop(busy_until) if len(busy_until) == concurrency \
+            else 0.0
+        previous = max(record["arrival_time"], previous, free)
+        admitted[record["index"]] = previous
+        heapq.heappush(busy_until, record["completed_time"])
+    return admitted
+
+
+@pytest.mark.parametrize("fault_name,fault_config", FAULTS,
+                         ids=[name for name, _ in FAULTS])
+@pytest.mark.parametrize("arrival_kwargs", ARRIVALS,
+                         ids=[spec["arrival"] for spec in ARRIVALS])
+@pytest.mark.parametrize("seed", SEEDS)
+class TestFIFOMatchesSlotReference:
+    """The admission layer's FIFO policy against a pure-Python FIFO queue in
+    front of K slots, grant for grant, across the same seed x arrival x
+    fault matrix (each axis shifts grant order).  Poisson arrivals queue;
+    the closed loop's population is K, so its clients never wait."""
+
+    def run_fifo(self, seed, arrival_kwargs, fault_config, **run_kwargs):
+        return run_service(
+            "disk-directed", tiny_workload(seed, **arrival_kwargs),
+            machine_config=MachineConfig(n_cps=2, n_iops=2, n_disks=4),
+            seed=seed, fault_config=fault_config, **run_kwargs)
+
+    def test_grants_match_reference(self, seed, arrival_kwargs, fault_name,
+                                    fault_config):
+        result = self.run_fifo(seed, arrival_kwargs, fault_config)
+        records = result.requests
+        assert len(records) == result.n_requests
+        assert all(record["admitted_time"] is not None for record in records)
+        expected = fifo_slot_admissions(records, result.concurrency)
+        assert {record["index"]: record["admitted_time"]
+                for record in records} == expected
+        waited = sum(record["admitted_time"] > record["arrival_time"]
+                     for record in records)
+        assert (waited > 0) == (arrival_kwargs["arrival"] == "poisson")
+        assert result.max_in_flight == result.concurrency
+
+    def test_fifo_is_the_default_policy(self, seed, arrival_kwargs,
+                                        fault_name, fault_config):
+        default = self.run_fifo(seed, arrival_kwargs, fault_config)
+        explicit = self.run_fifo(seed, arrival_kwargs, fault_config,
+                                 admission_policy="fifo")
+        assert dataclasses.asdict(explicit) == dataclasses.asdict(default)
+        assert default.admission == "fifo" and default.controller == {}
+        assert default.dropped_requests == default.shed_requests == 0
+        assert default.conserves_bytes()
 
 
 def stamped_workload(seed, **arrival_kwargs):
