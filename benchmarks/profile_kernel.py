@@ -12,6 +12,7 @@ Run from the repository root::
 
     python benchmarks/profile_kernel.py            # full run, appends a record
     python benchmarks/profile_kernel.py --smoke    # 1 MB trial, CI-sized
+    python benchmarks/profile_kernel.py --case tc_random_rcb8_1mb  # TC chunk walk
     python benchmarks/profile_kernel.py --no-append --top 20   # just print
 
 The recorded ``profile`` block looks like::
@@ -47,7 +48,9 @@ from repro.fs import FileSystem  # noqa: E402
 from repro.machine import Machine  # noqa: E402
 from repro.patterns import make_pattern  # noqa: E402
 
-#: The trial the budget is measured on (mirrors perf_kernel's headline case).
+#: The trials a budget can be measured on.  The default is perf_kernel's
+#: headline case; ``tc_random_rcb8_1mb`` drives traditional caching's per-CP
+#: chunk walk (1024 chunks of 128 eight-byte records).
 CASES = {
     "ddio_random_rb_10mb": ExperimentConfig(
         method="disk-directed", pattern="rb", layout="random",
@@ -55,6 +58,9 @@ CASES = {
     "ddio_random_rb_1mb": ExperimentConfig(
         method="disk-directed", pattern="rb", layout="random",
         record_size=8192, file_size=MEGABYTE),
+    "tc_random_rcb8_1mb": ExperimentConfig(
+        method="traditional-caching", pattern="rcb", layout="random",
+        record_size=8, file_size=MEGABYTE),
 }
 
 SRC_PREFIX = str(REPO_ROOT / "src" / "repro") + os.sep
@@ -133,6 +139,8 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--smoke", action="store_true",
                         help="CI-sized run: profile the 1 MB trial instead")
+    parser.add_argument("--case", choices=sorted(CASES), default=None,
+                        help="profile this trial (overrides --smoke)")
     parser.add_argument("--seed", type=int, default=1, help="trial seed")
     parser.add_argument("--top", type=int, default=10,
                         help="how many functions to print")
@@ -145,7 +153,8 @@ def main(argv=None):
                         help="free-form label recorded with this run")
     args = parser.parse_args(argv)
 
-    case = "ddio_random_rb_1mb" if args.smoke else "ddio_random_rb_10mb"
+    case = args.case or (
+        "ddio_random_rb_1mb" if args.smoke else "ddio_random_rb_10mb")
     profile = profile_case(CASES[case], seed=args.seed)
     profile["case"] = case
 

@@ -91,7 +91,13 @@ from repro.patterns import make_pattern
 #:     reports a zero makespan instead of a negative one.  Every other
 #:     result is bit-identical (the digest matrix pins this); the bump is
 #:     precautionary.
-CACHE_SCHEMA_VERSION = 12
+#: v13: traditional caching's per-CP chunk lists are enumerated in closed
+#:     form from the BLOCK/CYCLIC arithmetic instead of an ownership scan
+#:     of the whole file, and ``pieces_in_block`` rejects a negative block
+#:     index or a non-positive block size.  Every result is bit-identical
+#:     (the digest matrix and the 8-byte TC pins check this); the bump is
+#:     precautionary.
+CACHE_SCHEMA_VERSION = 13
 
 
 # -- experiment families --------------------------------------------------------

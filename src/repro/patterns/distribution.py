@@ -1,6 +1,7 @@
 """The three HPF distribution methods for one array dimension."""
 
 from enum import Enum
+from itertools import repeat
 
 import numpy as np
 
@@ -68,3 +69,16 @@ class Distribution(Enum):
         # CYCLIC
         full, remainder = divmod(extent, grid_size)
         return full + (1 if grid_index < remainder else 0)
+
+    def owned_runs(self, extent, grid_size, grid_index):
+        """The ``(start, length)`` index runs one grid position owns, in order."""
+        if self is Distribution.NONE or grid_size <= 1:
+            return [(0, extent)] if grid_index == 0 else []
+        if self is Distribution.BLOCK:
+            block = -(-extent // grid_size)
+            start = grid_index * block
+            if start >= extent:
+                return []
+            return [(start, min(block, extent - start))]
+        # CYCLIC
+        return zip(range(grid_index, extent, grid_size), repeat(1))

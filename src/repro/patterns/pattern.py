@@ -1,6 +1,5 @@
 """Access-pattern objects: who owns which records of the file."""
 
-import math
 from collections import namedtuple
 
 import numpy as np
@@ -11,9 +10,6 @@ from repro.patterns.distribution import Distribution
 #: non-contiguous pieces.  Disk-directed I/O uses this to charge the cost of
 #: gathering/scattering the block into per-CP messages.
 PieceSummary = namedtuple("PieceSummary", ["cp", "n_bytes", "n_pieces"])
-
-#: How many records to process per numpy batch when streaming chunk lists.
-_CHUNK_BATCH_RECORDS = 1 << 16
 
 #: Below this many records per block, ``pieces_in_block`` uses scalar Python
 #: arithmetic; numpy only wins once the per-block record count is sizeable
@@ -84,6 +80,16 @@ class AccessPattern:
         """Number of contiguous file runs *cp* accesses (useful for tests/benches)."""
         return sum(1 for _ in self.chunks_for_cp(cp))
 
+    def _check_cp(self, cp):
+        if cp < 0 or cp >= self.n_cps:
+            raise ValueError(f"CP {cp} out of range [0, {self.n_cps})")
+
+    def _check_block(self, block_index, block_size):
+        if block_index < 0:
+            raise ValueError(f"block_index must be >= 0, got {block_index}")
+        if block_size <= 0:
+            raise ValueError(f"block_size must be positive, got {block_size}")
+
     def describe(self):
         """A short human-readable summary used in reports."""
         return (f"{self.name}: {self.mode}, {self.n_records} x "
@@ -109,6 +115,7 @@ class AllPattern(AccessPattern):
         yield (0, self.file_size)
 
     def pieces_in_block(self, block_index, block_size):
+        self._check_block(block_index, block_size)
         start = block_index * block_size
         if start >= self.file_size:
             return []
@@ -119,10 +126,6 @@ class AllPattern(AccessPattern):
     def bytes_for_cp(self, cp):
         self._check_cp(cp)
         return self.file_size
-
-    def _check_cp(self, cp):
-        if cp < 0 or cp >= self.n_cps:
-            raise ValueError(f"CP {cp} out of range [0, {self.n_cps})")
 
 
 class MatrixPattern(AccessPattern):
@@ -160,8 +163,7 @@ class MatrixPattern(AccessPattern):
         return grid_row * self.grid_cols + grid_col
 
     def bytes_for_cp(self, cp):
-        if cp < 0 or cp >= self.n_cps:
-            raise ValueError(f"CP {cp} out of range [0, {self.n_cps})")
+        self._check_cp(cp)
         grid_row, grid_col = divmod(cp, self.grid_cols)
         if grid_row >= self.grid_rows:
             return 0
@@ -171,39 +173,30 @@ class MatrixPattern(AccessPattern):
 
     # -- chunk enumeration (CP side) ------------------------------------------------
     def chunks_for_cp(self, cp):
-        if cp < 0 or cp >= self.n_cps:
-            raise ValueError(f"CP {cp} out of range [0, {self.n_cps})")
-        if self.bytes_for_cp(cp) == 0:
+        """Yield *cp*'s runs from the distribution arithmetic, with no scan of
+        the file: its owned rows in order, in each its owned column runs, and
+        runs that touch (consecutive whole rows, or a row's last owned column
+        and the next row's first) merged into one."""
+        self._check_cp(cp)
+        grid_row, grid_col = divmod(cp, self.grid_cols)
+        if grid_row >= self.grid_rows:
             return
-        pending = None  # (start_record, length_records) run crossing batch boundary
-        for batch_start in range(0, self.n_records, _CHUNK_BATCH_RECORDS):
-            batch_end = min(batch_start + _CHUNK_BATCH_RECORDS, self.n_records)
-            indices = np.arange(batch_start, batch_end, dtype=np.int64)
-            mine = self.owners_of(indices) == cp
-            if not mine.any():
-                if pending is not None:
-                    yield self._run_to_bytes(*pending)
-                    pending = None
-                continue
-            starts, lengths = _runs_of_true(mine)
-            # tolist() converts to Python ints in one C pass; per-element
-            # int() calls dominate this loop for cyclic small-record
-            # patterns (one run per record, 100k+ runs per transfer).
-            for run_start, run_length in zip(starts.tolist(), lengths.tolist()):
-                record_start = batch_start + run_start
-                record_length = run_length
-                if pending is not None:
-                    pending_start, pending_length = pending
-                    if pending_start + pending_length == record_start:
-                        pending = (pending_start, pending_length + record_length)
-                        continue
-                    yield self._run_to_bytes(pending_start, pending_length)
-                pending = (record_start, record_length)
-        if pending is not None:
-            yield self._run_to_bytes(*pending)
-
-    def _run_to_bytes(self, record_start, record_length):
-        return (record_start * self.record_size, record_length * self.record_size)
+        cols, col_runs = self.cols, self.col_dist.owned_runs
+        runs = ((row * cols + start, length)
+                for first, count in self.row_dist.owned_runs(
+                    self.rows, self.grid_rows, grid_row)
+                for row in range(first, first + count)
+                for start, length in col_runs(cols, self.grid_cols, grid_col))
+        size = self.record_size
+        pending_start = pending_end = None
+        for start, length in runs:
+            if start != pending_end:
+                if pending_start is not None:
+                    yield (pending_start * size, (pending_end - pending_start) * size)
+                pending_start = pending_end = start
+            pending_end += length
+        if pending_start is not None:
+            yield (pending_start * size, (pending_end - pending_start) * size)
 
     def _owner_of_record(self, index):
         """Scalar counterpart of :meth:`owners_of` for the per-block fast path."""
@@ -214,6 +207,7 @@ class MatrixPattern(AccessPattern):
 
     # -- per-block pieces (IOP side) ---------------------------------------------------
     def pieces_in_block(self, block_index, block_size):
+        self._check_block(block_index, block_size)
         block_start = block_index * block_size
         if block_start >= self.file_size:
             return []
@@ -260,14 +254,3 @@ class MatrixPattern(AccessPattern):
         return [PieceSummary(cp=cp, n_bytes=int(bytes_per_cp[cp]),
                              n_pieces=int(pieces_per_cp[cp]))
                 for cp in range(self.n_cps) if pieces_per_cp[cp] > 0]
-
-
-def _runs_of_true(mask):
-    """Start indices and lengths of maximal runs of True in a boolean array."""
-    if not mask.any():
-        return np.array([], dtype=np.int64), np.array([], dtype=np.int64)
-    padded = np.concatenate(([False], mask, [False]))
-    changes = np.diff(padded.astype(np.int8))
-    starts = np.where(changes == 1)[0]
-    ends = np.where(changes == -1)[0]
-    return starts, ends - starts

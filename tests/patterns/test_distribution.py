@@ -66,3 +66,35 @@ class TestOwnedCount:
             owners = dist.grid_index_of(np.arange(extent), extent, grid)
             for g in range(grid):
                 assert dist.owned_count(extent, grid, g) == int((owners == g).sum())
+
+
+class TestOwnedRuns:
+    def test_none_and_single_position_give_the_whole_extent(self):
+        assert list(Distribution.NONE.owned_runs(50, 4, 0)) == [(0, 50)]
+        assert list(Distribution.NONE.owned_runs(50, 4, 1)) == []
+        for dist in Distribution:
+            assert list(dist.owned_runs(9, 1, 0)) == [(0, 9)]
+
+    def test_block_is_one_ceil_sized_run(self):
+        # ceil(10/4) = 3: [0,3) [3,6) [6,9) [9,10)
+        runs = [list(Distribution.BLOCK.owned_runs(10, 4, g)) for g in range(4)]
+        assert runs == [[(0, 3)], [(3, 3)], [(6, 3)], [(9, 1)]]
+
+    def test_block_positions_past_the_extent_own_nothing(self):
+        # ceil(5/4) = 2: position 3 would start at 6 > 5.
+        assert list(Distribution.BLOCK.owned_runs(5, 4, 3)) == []
+
+    def test_cyclic_is_one_unit_run_per_index(self):
+        assert list(Distribution.CYCLIC.owned_runs(10, 4, 1)) == [
+            (1, 1), (5, 1), (9, 1)]
+
+    @pytest.mark.parametrize("extent, grid", [(29, 4), (3, 7), (1, 2), (37, 5)])
+    def test_runs_match_grid_index_of(self, extent, grid):
+        for dist in Distribution:
+            owners = dist.grid_index_of(np.arange(extent), extent, grid)
+            for g in range(grid):
+                indices = [start + offset
+                           for start, length in dist.owned_runs(extent, grid, g)
+                           for offset in range(length)]
+                assert indices == np.flatnonzero(owners == g).tolist()
+                assert len(indices) == dist.owned_count(extent, grid, g)

@@ -144,6 +144,20 @@ class TestPieces:
         assert pieces[0].n_pieces == 1
         assert pieces[0].n_bytes == BLOCK
 
+    @pytest.mark.parametrize("name, record_size", [
+        ("rb", 8), ("rcc", 8), ("rb", 8192), ("ra", 8)])
+    def test_negative_block_index_is_rejected(self, name, record_size):
+        pattern = make_pattern(name, 2 ** 16, record_size, 4)
+        with pytest.raises(ValueError, match="block_index"):
+            pattern.pieces_in_block(-1, BLOCK)
+
+    @pytest.mark.parametrize("name", ["rb", "rcc", "ra"])
+    @pytest.mark.parametrize("block_size", [0, -BLOCK])
+    def test_non_positive_block_size_is_rejected(self, name, block_size):
+        pattern = make_pattern(name, 2 ** 16, 8, 4)
+        with pytest.raises(ValueError, match="block_size"):
+            pattern.pieces_in_block(0, block_size)
+
     def test_consistency_between_pieces_and_owners(self):
         pattern = make_pattern("rcb", 2 ** 17, 8, 16)
         block = 5
